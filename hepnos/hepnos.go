@@ -75,8 +75,6 @@ type (
 	EventCursor  = core.EventCursor
 	// Placement selects the key-to-database mapping strategy.
 	Placement = core.Placement
-	// RescaleStats reports a storage-rescaling migration.
-	RescaleStats = core.RescaleStats
 	// AsyncEngine is the client-side asynchrony layer of §II-D: the one
 	// set of argo pools under asynchronous write batches, the prefetcher,
 	// cursor lookahead, PEP readers and the data loader. Obtain it with
@@ -196,6 +194,9 @@ var (
 	ErrClosed          = core.ErrClosed
 	// ErrBatchClosed is returned by WriteBatch operations after Close.
 	ErrBatchClosed = core.ErrBatchClosed
+	// ErrViewChanged ends a ProcessEvents pass that a live-rebalancing
+	// commit overtook; rerun it on the new view.
+	ErrViewChanged = core.ErrViewChanged
 )
 
 // ErrorClass is the stable machine-readable classification every error in
@@ -322,11 +323,6 @@ var (
 	ColumnSchemaOf   = serde.ColumnSchemaOf
 )
 
-// Rescale migrates all data from one datastore view to another whose
-// database sets differ — the storage-rescaling extension the paper cites
-// as future work (§V, Pufferscale). Requires write quiescence.
-var Rescale = core.Rescale
-
 // Replication and failover types (surviving server death): with a
 // replication factor ≥ 2 — set at deployment via DeploySpec.RF or per
 // client via ClientConfig.RF — every key is written to copies on distinct
@@ -334,8 +330,9 @@ var Rescale = core.Rescale
 // tracker (DataStore.Health), and DataStore.ResyncServer replays missed
 // writes onto a restarted server from the surviving replicas.
 type (
-	// ResyncStats reports an anti-entropy pass, per role.
-	ResyncStats = core.ResyncStats
+	// ResyncStats reports an anti-entropy pass, per role (the key-walk
+	// stats every copy-shaped pass shares: Scanned and Copied).
+	ResyncStats = core.CopyStats
 	// HealthTracker is the client's per-server liveness state machine.
 	HealthTracker = health.Tracker
 	// HealthState is one liveness state (alive/suspect/dead/rejoined).

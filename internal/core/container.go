@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/keys"
@@ -115,12 +114,12 @@ func (c *container) Load(ctx context.Context, label string, ptr any) error {
 			return err
 		}
 	}
-	data, err := c.ds.getFO(ctx, func() []yokan.DBHandle { return c.ds.productReplicas(c.key) }, id.Encode())
-	if errors.Is(err, yokan.ErrKeyNotFound) {
-		return fmt.Errorf("%w: %s", ErrNoSuchProduct, id)
-	}
+	data, found, err := c.ds.get(ctx, func() []yokan.DBHandle { return c.ds.productReplicas(c.key) }, id.Encode())
 	if err != nil {
 		return err
+	}
+	if !found {
+		return fmt.Errorf("%w: %s", ErrNoSuchProduct, id)
 	}
 	return decodeProduct(data, ptr)
 }
@@ -140,11 +139,7 @@ func (c *container) HasProduct(ctx context.Context, label string, example any) (
 			return found, err
 		}
 	}
-	found, err := c.ds.existsFO(ctx, func() []yokan.DBHandle { return c.ds.productReplicas(c.key) }, [][]byte{id.Encode()})
-	if err != nil {
-		return false, err
-	}
-	return found[0], nil
+	return c.ds.has(ctx, func() []yokan.DBHandle { return c.ds.productReplicas(c.key) }, id.Encode())
 }
 
 // ListProducts returns the label#type identifiers of the container's
@@ -154,17 +149,12 @@ func (c *container) ListProducts(ctx context.Context) ([]string, error) {
 	if c.ds.closed.Load() {
 		return nil, ErrClosed
 	}
-	replicas := c.ds.productReplicas(c.key)
+	pg := c.ds.pager(productDBs, c.key.Bytes(), c.key.Bytes(), listPageSize)
 	var out []string
-	var from []byte
-	prefix := c.key.Bytes()
-	for {
-		page, err := c.ds.listKeysFO(ctx, replicas, from, prefix, listPageSize)
+	for !pg.done {
+		page, err := pg.next(ctx)
 		if err != nil {
 			return nil, err
-		}
-		if len(page) == 0 {
-			break
 		}
 		for _, k := range page {
 			// Container keys of children share this prefix only in the
@@ -181,7 +171,6 @@ func (c *container) ListProducts(ctx context.Context) ([]string, error) {
 			}
 			out = append(out, id.Label+"#"+id.Type)
 		}
-		from = page[len(page)-1]
 	}
 	return out, nil
 }
@@ -221,11 +210,11 @@ func (d *DataSet) Run(ctx context.Context, n uint64) (*Run, error) {
 		return nil, ErrClosed
 	}
 	runKey := d.key.Child(n)
-	found, err := d.ds.existsFO(ctx, func() []yokan.DBHandle { return d.ds.runReplicas(d.key) }, [][]byte{runKey.Bytes()})
+	found, err := d.ds.has(ctx, func() []yokan.DBHandle { return d.ds.runReplicas(d.key) }, runKey.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	if !found[0] {
+	if !found {
 		return nil, fmt.Errorf("%w: run %d in %s", ErrNoSuchContainer, n, d.path)
 	}
 	return &Run{container: container{ds: d.ds, key: runKey}, dataset: d}, nil
@@ -234,7 +223,7 @@ func (d *DataSet) Run(ctx context.Context, n uint64) (*Run, error) {
 // Runs returns the run numbers in the dataset, ascending — the iterator of
 // Listing 1's range-for over a dataset.
 func (d *DataSet) Runs(ctx context.Context) ([]uint64, error) {
-	return listChildNumbers(ctx, d.ds, d.ds.runReplicas(d.key), d.key)
+	return listChildNumbers(ctx, d.ds, runDBs, d.key)
 }
 
 // Run handles a numbered run.
@@ -267,11 +256,11 @@ func (r *Run) SubRun(ctx context.Context, n uint64) (*SubRun, error) {
 		return nil, ErrClosed
 	}
 	srKey := r.key.Child(n)
-	found, err := r.ds.existsFO(ctx, func() []yokan.DBHandle { return r.ds.subrunReplicas(r.key) }, [][]byte{srKey.Bytes()})
+	found, err := r.ds.has(ctx, func() []yokan.DBHandle { return r.ds.subrunReplicas(r.key) }, srKey.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	if !found[0] {
+	if !found {
 		return nil, fmt.Errorf("%w: subrun %d in run %d", ErrNoSuchContainer, n, r.Number())
 	}
 	return &SubRun{container: container{ds: r.ds, key: srKey}, run: r}, nil
@@ -279,7 +268,7 @@ func (r *Run) SubRun(ctx context.Context, n uint64) (*SubRun, error) {
 
 // SubRuns returns the subrun numbers in the run, ascending.
 func (r *Run) SubRuns(ctx context.Context) ([]uint64, error) {
-	return listChildNumbers(ctx, r.ds, r.ds.subrunReplicas(r.key), r.key)
+	return listChildNumbers(ctx, r.ds, subrunDBs, r.key)
 }
 
 // SubRun handles a numbered subrun.
@@ -312,11 +301,11 @@ func (s *SubRun) Event(ctx context.Context, n uint64) (*Event, error) {
 		return nil, ErrClosed
 	}
 	evKey := s.key.Child(n)
-	found, err := s.ds.existsFO(ctx, func() []yokan.DBHandle { return s.ds.eventReplicas(s.key) }, [][]byte{evKey.Bytes()})
+	found, err := s.ds.has(ctx, func() []yokan.DBHandle { return s.ds.eventReplicas(s.key) }, evKey.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	if !found[0] {
+	if !found {
 		return nil, fmt.Errorf("%w: event %d in subrun %d", ErrNoSuchContainer, n, s.Number())
 	}
 	return &Event{container: container{ds: s.ds, key: evKey}, subrun: s}, nil
@@ -324,7 +313,7 @@ func (s *SubRun) Event(ctx context.Context, n uint64) (*Event, error) {
 
 // Events returns the event numbers in the subrun, ascending.
 func (s *SubRun) Events(ctx context.Context) ([]uint64, error) {
-	return listChildNumbers(ctx, s.ds, s.ds.eventReplicas(s.key), s.key)
+	return listChildNumbers(ctx, s.ds, eventDBs, s.key)
 }
 
 // Event handles a numbered event — the natural atomic unit of HEP data.
@@ -365,23 +354,16 @@ func (id EventID) String() string {
 }
 
 // listChildNumbers pages through the numbered children of parentKey in its
-// replica set (failing over per page when a copy's server is unhealthy).
-// Thanks to big-endian encoding and per-parent placement, the keys come
-// back sorted from a single database.
-func listChildNumbers(ctx context.Context, ds *DataStore, replicas []yokan.DBHandle, parentKey keys.ContainerKey) ([]uint64, error) {
-	if ds.closed.Load() {
-		return nil, ErrClosed
-	}
+// role's committed replica set (failing over per page when a copy's server
+// is unhealthy). Thanks to big-endian encoding and per-parent placement,
+// the keys come back sorted from a single database.
+func listChildNumbers(ctx context.Context, ds *DataStore, role func(*View) []yokan.DBHandle, parentKey keys.ContainerKey) ([]uint64, error) {
+	pg := ds.pager(role, parentKey.Bytes(), parentKey.Bytes(), listPageSize)
 	var out []uint64
-	prefix := parentKey.Bytes()
-	var from []byte
-	for {
-		page, err := ds.listKeysFO(ctx, replicas, from, prefix, listPageSize)
+	for !pg.done {
+		page, err := pg.next(ctx)
 		if err != nil {
 			return nil, err
-		}
-		if len(page) == 0 {
-			break
 		}
 		for _, k := range page {
 			ck, err := keys.ParseContainerKey(k)
@@ -390,7 +372,6 @@ func listChildNumbers(ctx context.Context, ds *DataStore, replicas []yokan.DBHan
 			}
 			out = append(out, ck.Number())
 		}
-		from = page[len(page)-1]
 	}
 	return out, nil
 }

@@ -44,13 +44,14 @@ type pageData struct {
 	degraded int
 }
 
-// numberCursor pages numbered child keys out of one replica set (the
-// placement home plus its copies; pages fail over per fetch when the
-// preferred server is unhealthy).
+// numberCursor pages numbered child keys out of the parent's replica set
+// (the placement home plus its copies), re-resolved per fetch: pages fail
+// over when the preferred server is unhealthy and follow the committed view
+// across a live migration.
 type numberCursor struct {
 	ctx      context.Context
 	ds       *DataStore
-	replicas []yokan.DBHandle
+	role     func(*View) []yokan.DBHandle
 	parent   keys.ContainerKey
 	pageSize int
 
@@ -75,11 +76,11 @@ type numberCursor struct {
 	degraded int // total loads degraded to on-demand so far
 }
 
-func newNumberCursor(ctx context.Context, ds *DataStore, replicas []yokan.DBHandle, parent keys.ContainerKey, pageSize int) *numberCursor {
+func newNumberCursor(ctx context.Context, ds *DataStore, role func(*View) []yokan.DBHandle, parent keys.ContainerKey, pageSize int) *numberCursor {
 	if pageSize <= 0 {
 		pageSize = listPageSize
 	}
-	return &numberCursor{ctx: ctx, ds: ds, replicas: replicas, parent: parent, pageSize: pageSize}
+	return &numberCursor{ctx: ctx, ds: ds, role: role, parent: parent, pageSize: pageSize}
 }
 
 // fetchPage lists child keys starting after from, skipping over raw pages
@@ -90,24 +91,14 @@ func (c *numberCursor) fetchPage(ctx context.Context, from []byte) pageData {
 	// Cursor paging feeds a caller-driven read loop: interactive class,
 	// whether the fetch runs inline or on the lookahead pool.
 	ctx = qos.WithClass(ctx, qos.ClassInteractive)
-	pd := pageData{from: from}
-	for {
-		if c.ds.closed.Load() {
-			pd.err = ErrClosed
-			return pd
-		}
-		raw, err := c.ds.listKeysFO(ctx, c.replicas, pd.from, c.parent.Bytes(), c.pageSize)
+	pg := c.ds.pager(c.role, c.parent.Bytes(), c.parent.Bytes(), c.pageSize)
+	pg.from = from
+	var pd pageData
+	for len(pd.cks) == 0 && !pg.done {
+		raw, err := pg.next(ctx)
 		if err != nil {
 			pd.err = err
 			return pd
-		}
-		if len(raw) == 0 {
-			pd.done = true
-			return pd
-		}
-		pd.from = raw[len(raw)-1]
-		if len(raw) < c.pageSize {
-			pd.done = true
 		}
 		for _, k := range raw {
 			ck, err := keys.ParseContainerKey(k)
@@ -115,10 +106,8 @@ func (c *numberCursor) fetchPage(ctx context.Context, from []byte) pageData {
 				pd.cks = append(pd.cks, ck)
 			}
 		}
-		if len(pd.cks) > 0 || pd.done {
-			break
-		}
 	}
+	pd.from, pd.done = pg.from, pg.done
 	if len(pd.cks) > 0 && c.prefetch != nil {
 		pd.raw = make([][]byte, len(pd.cks))
 		for i, ck := range pd.cks {
@@ -196,7 +185,7 @@ type RunCursor struct {
 // size (0 uses the default).
 func (d *DataSet) RunCursor(ctx context.Context, pageSize int) *RunCursor {
 	return &RunCursor{
-		nc: newNumberCursor(ctx, d.ds, d.ds.runReplicas(d.key), d.key, pageSize),
+		nc: newNumberCursor(ctx, d.ds, runDBs, d.key, pageSize),
 		d:  d,
 	}
 }
@@ -221,7 +210,7 @@ type SubRunCursor struct {
 // SubRunCursor creates a cursor over the run's subruns.
 func (r *Run) SubRunCursor(ctx context.Context, pageSize int) *SubRunCursor {
 	return &SubRunCursor{
-		nc: newNumberCursor(ctx, r.ds, r.ds.subrunReplicas(r.key), r.key, pageSize),
+		nc: newNumberCursor(ctx, r.ds, subrunDBs, r.key, pageSize),
 		r:  r,
 	}
 }
@@ -255,7 +244,7 @@ type EventCursor struct {
 // locally.
 func (s *SubRun) EventCursor(ctx context.Context, pageSize int, selectors ...ProductSelector) *EventCursor {
 	c := &EventCursor{
-		nc:       newNumberCursor(ctx, s.ds, s.ds.eventReplicas(s.key), s.key, pageSize),
+		nc:       newNumberCursor(ctx, s.ds, eventDBs, s.key, pageSize),
 		s:        s,
 		selector: selectors,
 	}

@@ -15,7 +15,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -169,9 +168,9 @@ type DataStore struct {
 	migMu sync.Mutex
 	// viewGen counts view transitions that can invalidate an in-flight
 	// read's replica set (commit and retire). Readers snapshot it before
-	// resolving replicas; a key miss observed across a generation change
+	// resolving replicas; an answer observed across a generation change
 	// may have come from a retired copy and is re-resolved instead of
-	// trusted (see getFO/existsFO).
+	// trusted (see replicaRead).
 	viewGen atomic.Uint64
 
 	placement Placement
@@ -637,12 +636,12 @@ func (ds *DataStore) OpenDataSet(ctx context.Context, path string) (*DataSet, er
 	if err != nil {
 		return nil, err
 	}
-	raw, err := ds.getFO(ctx, func() []yokan.DBHandle { return ds.datasetReplicas(norm) }, []byte(norm))
-	if errors.Is(err, yokan.ErrKeyNotFound) {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchDataSet, norm)
-	}
+	raw, found, err := ds.get(ctx, func() []yokan.DBHandle { return ds.datasetReplicas(norm) }, []byte(norm))
 	if err != nil {
 		return nil, err
+	}
+	if !found {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchDataSet, norm)
 	}
 	id, err := uuid.FromBytes(raw)
 	if err != nil {
@@ -675,16 +674,12 @@ func (ds *DataStore) ListDataSets(ctx context.Context, parent string) ([]string,
 	}
 	// All children of one parent live in one database (placement is by
 	// parent path), so one paginated scan suffices.
-	replicas := ds.unionReplicas(func(v *View) []yokan.DBHandle { return v.DatasetDBs }, []byte(norm))
+	pg := ds.pager(datasetDBs, []byte(norm), []byte(prefix), listPageSize)
 	var names []string
-	var from []byte
-	for {
-		page, err := ds.listKeysFO(ctx, replicas, from, []byte(prefix), listPageSize)
+	for !pg.done {
+		page, err := pg.next(ctx)
 		if err != nil {
 			return nil, err
-		}
-		if len(page) == 0 {
-			break
 		}
 		for _, k := range page {
 			rest := strings.TrimPrefix(string(k), prefix)
@@ -693,7 +688,6 @@ func (ds *DataStore) ListDataSets(ctx context.Context, parent string) ([]string,
 			}
 			names = append(names, rest)
 		}
-		from = page[len(page)-1]
 	}
 	return names, nil
 }

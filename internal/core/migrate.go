@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/bedrock"
+	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
 	"github.com/hep-on-hpc/hepnos-go/internal/keys"
 	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 	"github.com/hep-on-hpc/hepnos-go/internal/qos"
@@ -13,9 +16,8 @@ import (
 )
 
 // Live key-range migration (DESIGN.md §18): the data-plane half of the
-// autopilot's plan → copy → verify → epoch-bump → retire state machine.
-// Unlike Rescale (quiescent, single-view, RF-blind), these primitives run
-// against a serving datastore:
+// autopilot's plan → copy → verify → epoch-bump → retire state machine,
+// run against a serving datastore:
 //
 //   - BeginMigration installs the target view as the alternate, turning on
 //     dual-write (every write lands in both views' replica sets) and
@@ -38,6 +40,11 @@ import (
 // up, in internal/autopilot. The copy path assumes the HEPnOS data model's
 // write-once keys: a key rewritten with a *different* value during the
 // copy window may finish with either value on the target.
+//
+// Copy, verify, retire and the anti-entropy ResyncServer are all passes of
+// one key-walk (walkKeys): every key of every source database, its
+// candidate parents, its replica sets under the source and target views,
+// and an action on the difference.
 
 // Migration lifecycle errors, classified for the autopilot's retry logic.
 var (
@@ -54,8 +61,8 @@ var (
 
 // productKeyPrefixLens are the plausible container-key lengths embedded in
 // a product key (dataset, run, subrun, event). Product keys do not
-// self-describe their container length, so placement probes all of them;
-// shared by Rescale, ResyncServer and the migration walks.
+// self-describe their container length, so placement probes all of them.
+// False-positive interpretations produce harmless idempotent copies.
 var productKeyPrefixLens = []int{
 	keys.UUIDLen,
 	keys.UUIDLen + 1*keys.NumLen,
@@ -63,14 +70,25 @@ var productKeyPrefixLens = []int{
 	keys.UUIDLen + 3*keys.NumLen,
 }
 
-// CopyStats reports a migration copy or verify pass.
+// CopyStats reports one key-walk pass — a migration copy or verify, or an
+// anti-entropy resync — per role.
 type CopyStats struct {
-	// Scanned counts keys examined per role; Copied counts copies written
-	// to target databases.
+	// Scanned counts keys examined on source databases; Copied counts
+	// copies written to target databases (under verify: copies found
+	// missing and repaired; under resync: keys replayed).
 	Scanned map[string]int
 	Copied  map[string]int
-	// Ranges is the number of (role, database) source ranges walked.
-	Ranges int
+	// Checked counts the target copies a verify pass probed.
+	Checked int
+}
+
+// total sums a per-role map.
+func total(m map[string]int) int {
+	t := 0
+	for _, v := range m {
+		t += v
+	}
+	return t
 }
 
 // TotalScanned returns all keys examined.
@@ -78,6 +96,9 @@ func (s CopyStats) TotalScanned() int { return total(s.Scanned) }
 
 // TotalCopied returns all copies written.
 func (s CopyStats) TotalCopied() int { return total(s.Copied) }
+
+// walkBatch bounds the keys per page (and so per copy RPC) of a key-walk.
+const walkBatch = 1024
 
 // migrationRole pairs one role's source and target database sets with the
 // rule recovering the parent keys that place a stored key.
@@ -103,6 +124,15 @@ func migrationRoles(src, dst *View) []migrationRole {
 		return [][]byte{parent.Bytes()}
 	}
 	productParents := func(key []byte) [][]byte {
+		if bytes.HasPrefix(key, []byte(pageGroupMarker)) {
+			// Columnar page keys are placed by the subrun key that
+			// follows the marker (pages.go), not by a key prefix.
+			end := len(pageGroupMarker) + keys.UUIDLen + 2*keys.NumLen
+			if len(key) < end {
+				return nil
+			}
+			return [][]byte{key[len(pageGroupMarker):end]}
+		}
 		var out [][]byte
 		for _, l := range productKeyPrefixLens {
 			if len(key) > l {
@@ -188,169 +218,196 @@ func (ds *DataStore) AbortMigration() error {
 	return nil
 }
 
-// CopyToView copies every key reachable through the committed view to its
-// replica set under target. Copies ride the batch QoS class so interactive
-// reads keep their latency SLO. onRange, when non-nil, observes progress
-// after each (role, database) source range completes. Idempotent: a
-// partial pass rerun re-copies the same byte-identical values.
-//
-// Under RF ≥ 2 the first *usable* replica of each key performs the copy
-// (the others skip it), so a source death mid-copy shifts its share of the
-// work to the surviving replicas on the retry instead of losing it.
-func (ds *DataStore) CopyToView(ctx context.Context, target *View, onRange func(role string, done, total int)) (CopyStats, error) {
-	st := CopyStats{Scanned: map[string]int{}, Copied: map[string]int{}}
-	if ds.closed.Load() {
-		return st, ErrClosed
-	}
+// walkKeys is the one key-walk every migration-shaped pass runs on: for each
+// role and each of its source databases (unless skip rejects it), page the
+// stored keys — with values when the pass copies, keys alone otherwise —
+// and hand every page to the pass. The walk rides the batch QoS class so
+// interactive reads keep their latency SLO, under one span named after op.
+// onRange, when non-nil, observes progress after each (role, database)
+// range.
+func (ds *DataStore) walkKeys(ctx context.Context, op string, roles []migrationRole, withVals bool,
+	skip func(migrationRole, yokan.DBHandle) bool, onRange func(role string, done, total int),
+	page func(ctx context.Context, r migrationRole, db yokan.DBHandle, kvs []yokan.KV) error) (err error) {
 	ctx = qos.WithClass(ctx, qos.ClassBatch)
-	sp := ds.tracer.Start("core:migrate_copy", obs.KindInternal, obs.SpanFromContext(ctx), "")
+	sp := ds.tracer.Start("core:"+op, obs.KindInternal, obs.SpanFromContext(ctx), "")
 	ctx = obs.ContextWithSpan(ctx, sp.Context())
-	var err error
 	defer func() { sp.End(err) }()
 
-	src := ds.v()
-	roles := migrationRoles(src, target)
 	rangesTotal := 0
 	for _, r := range roles {
 		rangesTotal += len(r.src)
 	}
+	done := 0
 	for _, r := range roles {
 		for _, db := range r.src {
-			if err = ds.copyRange(ctx, r, db, &st); err != nil {
-				return st, err
+			from, more := []byte(nil), !skip(r, db)
+			for more {
+				var kvs []yokan.KV
+				if withVals {
+					kvs, err = ds.yc.ListKeyVals(ctx, db, from, nil, walkBatch)
+				} else {
+					var ks [][]byte
+					ks, err = ds.yc.ListKeys(ctx, db, from, nil, walkBatch)
+					kvs = make([]yokan.KV, len(ks))
+					for i, k := range ks {
+						kvs[i].Key = k
+					}
+				}
+				if err != nil {
+					return fmt.Errorf("hepnos: %s scan %s: %w", op, db, err)
+				}
+				if len(kvs) > 0 {
+					if err = page(ctx, r, db, kvs); err != nil {
+						return err
+					}
+					from = kvs[len(kvs)-1].Key
+				}
+				more = len(kvs) == walkBatch
 			}
-			st.Ranges++
+			done++
 			if onRange != nil {
-				onRange(r.name, st.Ranges, rangesTotal)
+				onRange(r.name, done, rangesTotal)
 			}
 		}
 	}
-	return st, nil
+	return nil
 }
 
-// copyRange copies one source database's keys to their target-view homes.
-func (ds *DataStore) copyRange(ctx context.Context, r migrationRole, db yokan.DBHandle, st *CopyStats) error {
-	var from []byte
-	for {
-		kvs, err := ds.yc.ListKeyVals(ctx, db, from, nil, rescaleBatch)
-		if err != nil {
-			return fmt.Errorf("hepnos: migrate scan %s: %w", db, err)
-		}
-		if len(kvs) == 0 {
-			return nil
-		}
-		type batch struct{ keys, vals [][]byte }
-		byTarget := map[yokan.DBHandle]*batch{}
-		for _, kv := range kvs {
-			st.Scanned[r.name]++
-			for _, parent := range r.parents(kv.Key) {
-				srcSet := ds.replicasFor(r.src, parent)
-				if !containsDB(srcSet, db) {
-					continue // this interpretation does not claim this db
-				}
-				if ds.readOrder(srcSet)[0] != db {
-					continue // a healthier or earlier replica owns the copy
-				}
-				for _, t := range ds.replicasFor(r.dst, parent) {
-					if t == db || containsDB(srcSet, t) {
-						continue // the target already holds this key
-					}
-					b := byTarget[t]
-					if b == nil {
-						b = &batch{}
-						byTarget[t] = b
-					}
-					b.keys = append(b.keys, kv.Key)
-					b.vals = append(b.vals, kv.Val)
-				}
-			}
-		}
-		for t, b := range byTarget {
-			if err := ds.yc.PutMulti(ctx, t, b.keys, b.vals); err != nil {
-				return fmt.Errorf("hepnos: migrate copy to %s: %w", t, err)
-			}
-			st.Copied[r.name] += len(b.keys)
-			ds.migrationCopied.Add(int64(len(b.keys)))
-		}
-		from = kvs[len(kvs)-1].Key
+// reconcile is the copy-shaped pass: every key the src view holds is written
+// to each member of its dst-view replica set that does not hold it yet.
+//
+// A key's holders are its src-view replicas minus any on the stale server —
+// a rejoined server whose databases missed writes (ResyncServer); empty for
+// a migration. The first holder in read order performs the copy (the others
+// skip it), so under RF ≥ 2 a source death shifts its share of the work to
+// the surviving replicas; an unusable source is skipped outright when other
+// replicas exist to cover for it. With probe set the pass first asks each
+// target which keys it lacks and writes only those (verify = copy with an
+// Exists probe). Copies are idempotent puts of write-once keys, so a
+// partial pass reruns safely and no quiescence is needed.
+func (ds *DataStore) reconcile(ctx context.Context, op string, src, dst *View, stale fabric.Address, probe bool,
+	copied *atomic.Int64, onRange func(role string, done, total int)) (CopyStats, error) {
+	st := CopyStats{Scanned: map[string]int{}, Copied: map[string]int{}}
+	if ds.closed.Load() {
+		return st, ErrClosed
 	}
+	skip := func(_ migrationRole, db yokan.DBHandle) bool {
+		return db.Addr == stale || ds.rf > 1 && !ds.health.Usable(string(db.Addr))
+	}
+	type batch struct{ keys, vals [][]byte }
+	err := ds.walkKeys(ctx, op, migrationRoles(src, dst), true, skip, onRange,
+		func(ctx context.Context, r migrationRole, db yokan.DBHandle, kvs []yokan.KV) error {
+			byTarget := map[yokan.DBHandle]*batch{}
+			for _, kv := range kvs {
+				st.Scanned[r.name]++
+				for _, parent := range r.parents(kv.Key) {
+					holders := ds.replicasFor(r.src, parent)
+					if stale != "" {
+						holders = withoutServer(holders, stale)
+					}
+					if !containsDB(holders, db) || ds.readOrder(holders)[0] != db {
+						continue // not this database's key to copy
+					}
+					for _, t := range ds.replicasFor(r.dst, parent) {
+						if containsDB(holders, t) {
+							continue // the target already holds this key
+						}
+						b := byTarget[t]
+						if b == nil {
+							b = &batch{}
+							byTarget[t] = b
+						}
+						b.keys = append(b.keys, kv.Key)
+						b.vals = append(b.vals, kv.Val)
+					}
+				}
+			}
+			for t, b := range byTarget {
+				if probe {
+					found, err := ds.yc.Exists(ctx, t, b.keys)
+					if err != nil {
+						return fmt.Errorf("hepnos: %s probe %s: %w", op, t, err)
+					}
+					st.Checked += len(found)
+					missing := batch{}
+					for i, ok := range found {
+						if !ok {
+							missing.keys = append(missing.keys, b.keys[i])
+							missing.vals = append(missing.vals, b.vals[i])
+						}
+					}
+					b = &missing
+				}
+				if len(b.keys) == 0 {
+					continue
+				}
+				if err := ds.yc.PutMulti(ctx, t, b.keys, b.vals); err != nil {
+					return fmt.Errorf("hepnos: %s copy to %s: %w", op, t, err)
+				}
+				st.Copied[r.name] += len(b.keys)
+				copied.Add(int64(len(b.keys)))
+			}
+			return nil
+		})
+	return st, err
+}
+
+// CopyToView copies every key reachable through the committed view to its
+// replica set under target. onRange, when non-nil, observes progress after
+// each (role, database) source range completes. Idempotent: a partial pass
+// rerun re-copies the same byte-identical values.
+func (ds *DataStore) CopyToView(ctx context.Context, target *View, onRange func(role string, done, total int)) (CopyStats, error) {
+	return ds.reconcile(ctx, "migrate_copy", ds.v(), target, "", false, &ds.migrationCopied, onRange)
 }
 
 // VerifyView re-walks the committed view, checks that every key exists on
 // every member of its target-view replica set, and repairs the copies the
-// target is missing. It returns the number of key-copies checked and
-// repaired; repaired == 0 means the target holds a complete image.
+// target is missing (writes that raced the copy are already there via
+// dual-write). It returns the number of key-copies checked and repaired;
+// repaired == 0 means the target holds a complete image.
 func (ds *DataStore) VerifyView(ctx context.Context, target *View) (checked, repaired int, err error) {
-	if ds.closed.Load() {
-		return 0, 0, ErrClosed
-	}
-	ctx = qos.WithClass(ctx, qos.ClassBatch)
-	sp := ds.tracer.Start("core:migrate_verify", obs.KindInternal, obs.SpanFromContext(ctx), "")
-	ctx = obs.ContextWithSpan(ctx, sp.Context())
-	defer func() { sp.End(err) }()
+	st, err := ds.reconcile(ctx, "migrate_verify", ds.v(), target, "", true, &ds.migrationRepaired, nil)
+	return st.Checked, st.TotalCopied(), err
+}
 
-	src := ds.v()
-	for _, r := range migrationRoles(src, target) {
-		for _, db := range r.src {
-			var from []byte
-			for {
-				kvs, lerr := ds.yc.ListKeyVals(ctx, db, from, nil, rescaleBatch)
-				if lerr != nil {
-					return checked, repaired, fmt.Errorf("hepnos: migrate verify scan %s: %w", db, lerr)
-				}
-				if len(kvs) == 0 {
-					break
-				}
-				type probe struct {
-					keys, vals [][]byte
-				}
-				byTarget := map[yokan.DBHandle]*probe{}
-				for _, kv := range kvs {
-					for _, parent := range r.parents(kv.Key) {
-						srcSet := ds.replicasFor(r.src, parent)
-						if !containsDB(srcSet, db) || ds.readOrder(srcSet)[0] != db {
-							continue
-						}
-						for _, t := range ds.replicasFor(r.dst, parent) {
-							if t == db || containsDB(srcSet, t) {
-								continue
-							}
-							p := byTarget[t]
-							if p == nil {
-								p = &probe{}
-								byTarget[t] = p
-							}
-							p.keys = append(p.keys, kv.Key)
-							p.vals = append(p.vals, kv.Val)
-						}
-					}
-				}
-				for t, p := range byTarget {
-					found, eerr := ds.yc.Exists(ctx, t, p.keys)
-					if eerr != nil {
-						return checked, repaired, fmt.Errorf("hepnos: migrate verify %s: %w", t, eerr)
-					}
-					checked += len(p.keys)
-					var mk, mv [][]byte
-					for i, ok := range found {
-						if !ok {
-							mk = append(mk, p.keys[i])
-							mv = append(mv, p.vals[i])
-						}
-					}
-					if len(mk) > 0 {
-						if perr := ds.yc.PutMulti(ctx, t, mk, mv); perr != nil {
-							return checked, repaired, fmt.Errorf("hepnos: migrate repair to %s: %w", t, perr)
-						}
-						repaired += len(mk)
-						ds.migrationRepaired.Add(int64(len(mk)))
-					}
-				}
-				from = kvs[len(kvs)-1].Key
-			}
+// ResyncServer is the anti-entropy pass for a rejoined server (ISSUE 5): a
+// migration of the committed view onto itself whose targets are restricted
+// to the databases at addr, replaying from the surviving replicas every key
+// the server should hold but may have missed while it was down. It needs a
+// replication factor of at least 2 — with rf 1 a dead server's keys have no
+// surviving copy to replay from. On success the health tracker marks the
+// server resynced (Rejoined → Alive) and reads prefer it again.
+func (ds *DataStore) ResyncServer(ctx context.Context, addr fabric.Address) (CopyStats, error) {
+	if ds.rf <= 1 {
+		return CopyStats{}, fmt.Errorf("hepnos: resync %s: replication factor is 1, nothing to replay from", addr)
+	}
+	v := ds.v()
+	st, err := ds.reconcile(ctx, "resync", v, v, addr, false, &ds.resyncReplayed, nil)
+	if err == nil {
+		ds.health.MarkResynced(string(addr))
+	}
+	return st, err
+}
+
+// containsDB reports whether the replica set includes db.
+func containsDB(set []yokan.DBHandle, db yokan.DBHandle) bool {
+	for _, d := range set {
+		if d == db {
+			return true
 		}
 	}
-	return checked, repaired, nil
+	return false
+}
+
+// withoutServer returns set minus the databases hosted at addr.
+func withoutServer(set []yokan.DBHandle, addr fabric.Address) []yokan.DBHandle {
+	out := make([]yokan.DBHandle, 0, len(set))
+	for _, db := range set {
+		if db.Addr != addr {
+			out = append(out, db)
+		}
+	}
+	return out
 }
 
 // CommitMigration atomically swaps the committed view to target — the
@@ -424,30 +481,44 @@ func (ds *DataStore) RetireView(ctx context.Context) (int, error) {
 	}
 	ds.migMu.Unlock()
 
-	ctx = qos.WithClass(ctx, qos.ClassBatch)
-	sp := ds.tracer.Start("core:migrate_retire", obs.KindInternal, obs.SpanFromContext(ctx), "")
-	ctx = obs.ContextWithSpan(ctx, sp.Context())
-	var err error
-	defer func() { sp.End(err) }()
-
-	inMembership := map[string]bool{}
+	inMembership := map[fabric.Address]bool{}
 	for _, srv := range committed.Group.Servers {
-		inMembership[srv.Address] = true
+		inMembership[fabric.Address(srv.Address)] = true
+	}
+	// Walk only outgoing databases that survive into the committed view;
+	// one on a server that left the membership dies with its server.
+	skip := func(r migrationRole, db yokan.DBHandle) bool {
+		return !inMembership[db.Addr] || !containsDB(r.dst, db)
 	}
 	erased := 0
-	for _, r := range migrationRoles(outgoing, committed) {
-		for _, db := range r.src {
-			if !inMembership[string(db.Addr)] {
-				continue // dies with its drained server
-			}
-			if containsDB(r.dst, db) {
-				// The database survives into the committed view; erase only
-				// keys whose committed replica sets exclude it.
-				if erased, err = ds.retireRange(ctx, r, db, erased); err != nil {
-					return erased, err
+	err := ds.walkKeys(ctx, "migrate_retire", migrationRoles(outgoing, committed), false, skip, nil,
+		func(ctx context.Context, r migrationRole, db yokan.DBHandle, kvs []yokan.KV) error {
+			// Erase the keys whose committed replica sets exclude db.
+			var drop [][]byte
+			for _, kv := range kvs {
+				claimed := false
+				for _, parent := range r.parents(kv.Key) {
+					if containsDB(ds.replicasFor(r.dst, parent), db) {
+						claimed = true
+						break
+					}
+				}
+				if !claimed {
+					drop = append(drop, kv.Key)
 				}
 			}
-		}
+			if len(drop) == 0 {
+				return nil
+			}
+			if _, err := ds.yc.Erase(ctx, db, drop); err != nil {
+				return fmt.Errorf("hepnos: migrate_retire erase from %s: %w", db, err)
+			}
+			erased += len(drop)
+			ds.migrationErased.Add(int64(len(drop)))
+			return nil
+		})
+	if err != nil {
+		return erased, err
 	}
 	ds.migMu.Lock()
 	// Only clear if the window is still ours (a concurrent begin is
@@ -458,41 +529,6 @@ func (ds *DataStore) RetireView(ctx context.Context) (int, error) {
 	ds.viewGen.Add(1)
 	ds.migMu.Unlock()
 	return erased, nil
-}
-
-// retireRange erases one outgoing database's unclaimed keys.
-func (ds *DataStore) retireRange(ctx context.Context, r migrationRole, db yokan.DBHandle, erased int) (int, error) {
-	var from []byte
-	for {
-		page, err := ds.yc.ListKeys(ctx, db, from, nil, rescaleBatch)
-		if err != nil {
-			return erased, fmt.Errorf("hepnos: migrate retire scan %s: %w", db, err)
-		}
-		if len(page) == 0 {
-			return erased, nil
-		}
-		var drop [][]byte
-		for _, key := range page {
-			claimed := false
-			for _, parent := range r.parents(key) {
-				if containsDB(ds.replicasFor(r.dst, parent), db) {
-					claimed = true
-					break
-				}
-			}
-			if !claimed {
-				drop = append(drop, key)
-			}
-		}
-		if len(drop) > 0 {
-			if _, err := ds.yc.Erase(ctx, db, drop); err != nil {
-				return erased, fmt.Errorf("hepnos: migrate retire erase from %s: %w", db, err)
-			}
-			erased += len(drop)
-			ds.migrationErased.Add(int64(len(drop)))
-		}
-		from = page[len(page)-1]
-	}
 }
 
 // GroupEpoch returns the committed view's membership epoch.

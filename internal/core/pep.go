@@ -9,7 +9,13 @@ import (
 	"github.com/hep-on-hpc/hepnos-go/internal/mpi"
 	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 	"github.com/hep-on-hpc/hepnos-go/internal/serde"
+	"github.com/hep-on-hpc/hepnos-go/internal/xerr"
 )
+
+// ErrViewChanged ends a ParallelEventProcessor run whose per-database event
+// enumeration was overtaken by a migration commit; rerun the pass on the new
+// view.
+var ErrViewChanged = xerr.Sentinel("hepnos/view_changed", xerr.ClassConflict, "hepnos: committed view changed under a parallel event pass")
 
 // PEP MPI tags (user tag space; applications should avoid this range while
 // a ParallelEventProcessor is active).
@@ -97,6 +103,9 @@ type PEPStats struct {
 // pep wire messages (sent over the mpi layer, serde-encoded).
 type pepWorkMsg struct {
 	Done bool
+	// Err, on a Done message, is the xerr wire frame of the failure that
+	// cut this reader's load short (empty after a complete load).
+	Err  []byte
 	Keys [][]byte
 	Pref []pepPrefEntry
 	// Degraded is how many of this batch's prefetch loads failed over to
@@ -169,80 +178,15 @@ func (ds *DataStore) pepReader(ctx context.Context, comm *mpi.Comm, dataset *Dat
 	// LoadBatchSize pages, prefetch products, chop into work batches. Like
 	// the reader it is a long-running loop, so it runs on a dedicated
 	// engine goroutine; its per-database GetMulti groups fan out on the
-	// engine's RPC pool through the Prefetcher.
-	pf := ds.NewPrefetcher(opts.Prefetch...)
+	// engine's RPC pool through the Prefetcher. loadErr is written before
+	// batches closes and read only after, so the close orders the two.
+	var loadErr error
 	var loadWG sync.WaitGroup
 	loadWG.Add(1)
 	ds.engine.Go(ctx, func(tctx context.Context) {
 		defer loadWG.Done()
 		defer close(batches)
-		prefix := dataset.key.Bytes()
-		eventDBs := ds.v().EventDBs
-		for dbi := rank; dbi < len(eventDBs); dbi += opts.Readers {
-			db := eventDBs[dbi]
-			if ds.rf > 1 && !ds.health.Usable(string(db.Addr)) {
-				// A dead database's keys are read-owned by their surviving
-				// replicas, whose scans pick them up below.
-				continue
-			}
-			var from []byte
-			for {
-				page, err := ds.yc.ListKeys(tctx, db, from, prefix, opts.LoadBatchSize)
-				if err != nil || len(page) == 0 {
-					break // a failed database simply contributes no events
-				}
-				from = page[len(page)-1]
-				// Keep only event-level keys of this dataset. With
-				// replication every event key appears in rf databases, so
-				// a scan keeps only the keys it read-owns: the first
-				// usable replica in placement order. Exactly one scan
-				// claims each key (given a settled health view), which
-				// preserves the PEP's exactly-once contract.
-				var evKeys [][]byte
-				foEvents := 0
-				for _, k := range page {
-					ck, err := keys.ParseContainerKey(k)
-					if err != nil || ck.Level() != keys.LevelEvent {
-						continue
-					}
-					if ds.rf > 1 {
-						parent, ok := ck.Parent()
-						if !ok {
-							continue
-						}
-						replicas := ds.eventReplicas(parent)
-						if owner := ds.readOrder(replicas)[0]; owner != db {
-							continue // another database's scan claims this key
-						} else if owner != replicas[0] {
-							foEvents++ // claimed here only because the primary is down
-						}
-					}
-					evKeys = append(evKeys, k)
-				}
-				if foEvents > 0 {
-					ds.failoverReads.Add(int64(foEvents))
-				}
-				for off := 0; off < len(evKeys); off += opts.WorkBatchSize {
-					hi := off + opts.WorkBatchSize
-					if hi > len(evKeys) {
-						hi = len(evKeys)
-					}
-					msg := pepWorkMsg{Keys: evKeys[off:hi]}
-					if off == 0 {
-						// Page-level failover counts ride the first batch;
-						// only the cross-rank totals are meaningful.
-						msg.Failover = uint32(foEvents)
-					}
-					if len(opts.Prefetch) > 0 {
-						pref, degraded, failover := pf.Fetch(tctx, msg.Keys)
-						msg.Pref = pref
-						msg.Degraded = uint32(degraded)
-						msg.Failover += uint32(failover)
-					}
-					batches <- msg
-				}
-			}
-		}
+		loadErr = ds.pepLoad(tctx, rank, dataset, opts, batches)
 	})
 
 	// Server loop: answer work requests until every rank has been told
@@ -253,7 +197,12 @@ func (ds *DataStore) pepReader(ctx context.Context, comm *mpi.Comm, dataset *Dat
 		_ = data
 		msg, ok := <-batches
 		if !ok {
+			// A failed load ends the run early; every rank is told why, so
+			// a short pass is never mistaken for a complete one.
 			msg = pepWorkMsg{Done: true}
+			if loadErr != nil {
+				msg.Err = xerr.AppendWire(nil, loadErr)
+			}
 			doneSent++
 		}
 		payload, err := serde.Marshal(msg)
@@ -266,6 +215,85 @@ func (ds *DataStore) pepReader(ctx context.Context, comm *mpi.Comm, dataset *Dat
 		comm.Send(src, tagPEPWorkResp, payload)
 	}
 	loadWG.Wait()
+}
+
+// pepLoad is the reader's loader: it enumerates this rank's share of the
+// event databases through the shared key pager and queues work batches. The
+// enumeration is per *database*, so it is pinned to the view committed when
+// it starts: a page is trusted only while that view is still the committed
+// one (nothing has been retired from it), and a commit mid-run ends the pass
+// with ErrViewChanged instead of risking a key seen twice or not at all.
+func (ds *DataStore) pepLoad(ctx context.Context, rank int, dataset *DataSet, opts PEPOptions, batches chan<- pepWorkMsg) error {
+	pf := ds.NewPrefetcher(opts.Prefetch...)
+	view := ds.v()
+	for dbi := rank; dbi < len(view.EventDBs); dbi += opts.Readers {
+		db := view.EventDBs[dbi]
+		if ds.rf > 1 && !ds.health.Usable(string(db.Addr)) {
+			// A dead database's keys are read-owned by their surviving
+			// replicas, whose scans pick them up below.
+			continue
+		}
+		pg := keyPager{ds: ds, resolve: oneDB(db), prefix: dataset.key.Bytes(), size: opts.LoadBatchSize}
+		for !pg.done {
+			page, err := pg.next(ctx)
+			if err != nil {
+				return fmt.Errorf("hepnos: pep: list events of %s: %w", db, err)
+			}
+			// Keep only event-level keys of this dataset. With
+			// replication every event key appears in rf databases, so
+			// a scan keeps only the keys it read-owns: the first
+			// usable replica in placement order. Exactly one scan
+			// claims each key (given a settled health view), which
+			// preserves the PEP's exactly-once contract.
+			var evKeys [][]byte
+			foEvents := 0
+			for _, k := range page {
+				ck, err := keys.ParseContainerKey(k)
+				if err != nil || ck.Level() != keys.LevelEvent {
+					continue
+				}
+				if ds.rf > 1 {
+					parent, ok := ck.Parent()
+					if !ok {
+						continue
+					}
+					replicas := ds.replicasFor(view.EventDBs, parent.Bytes())
+					if owner := ds.readOrder(replicas)[0]; owner != db {
+						continue // another database's scan claims this key
+					} else if owner != replicas[0] {
+						foEvents++ // claimed here only because the primary is down
+					}
+				}
+				evKeys = append(evKeys, k)
+			}
+			if ds.v() != view {
+				return ErrViewChanged
+			}
+			if foEvents > 0 {
+				ds.failoverReads.Add(int64(foEvents))
+			}
+			for off := 0; off < len(evKeys); off += opts.WorkBatchSize {
+				hi := off + opts.WorkBatchSize
+				if hi > len(evKeys) {
+					hi = len(evKeys)
+				}
+				msg := pepWorkMsg{Keys: evKeys[off:hi]}
+				if off == 0 {
+					// Page-level failover counts ride the first batch;
+					// only the cross-rank totals are meaningful.
+					msg.Failover = uint32(foEvents)
+				}
+				if len(opts.Prefetch) > 0 {
+					pref, degraded, failover := pf.Fetch(ctx, msg.Keys)
+					msg.Pref = pref
+					msg.Degraded = uint32(degraded)
+					msg.Failover += uint32(failover)
+				}
+				batches <- msg
+			}
+		}
+	}
+	return nil
 }
 
 // pepWorker pulls work batches from the readers round-robin and processes
@@ -291,6 +319,9 @@ func (ds *DataStore) pepWorker(ctx context.Context, comm *mpi.Comm, opts PEPOpti
 			msg.Done = true
 		}
 		if msg.Done {
+			if len(msg.Err) > 0 && firstErr == nil {
+				firstErr = xerr.ParseWire(msg.Err)
+			}
 			// Remove this reader from the rotation.
 			for i, r := range alive {
 				if r == reader {

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/bedrock"
+	"github.com/hep-on-hpc/hepnos-go/internal/chaos"
+	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
 	"github.com/hep-on-hpc/hepnos-go/internal/mpi"
 )
 
@@ -285,5 +289,51 @@ func TestProcessEventsMoreReadersThanRanks(t *testing.T) {
 	})
 	if n != len(want) {
 		t.Fatalf("processed %d, want %d", n, len(want))
+	}
+}
+
+// TestProcessEventsSurfacesListingFailure pins that a failed event-database
+// listing reaches every rank's ProcessEvents error instead of silently
+// shortening the run: at RF=1 there is no replica to fail over to, so one
+// dropped list_keys RPC must fail the pass.
+func TestProcessEventsSurfacesListingFailure(t *testing.T) {
+	// One event database, so the dropped listing is the one with the events.
+	d, err := bedrock.Deploy(bedrock.DeploySpec{
+		Servers: 1, ProvidersPerServer: 1, EventDBsPerServer: 1, ProductDBsPerServer: 1,
+		NamePrefix: fmt.Sprintf("coretest-%d", deploySeq.Add(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Shutdown)
+	in := chaos.New(chaos.SeedFromEnv(1), &chaos.DropN{N: 1})
+	chaos.Report(t, in)
+	fault := in.ClientFault()
+	var armed atomic.Bool
+	ds, err := Connect(context.Background(), ClientConfig{Group: d.Group, NetSim: &fabric.NetSim{
+		Fault: func(target fabric.Address, rpc string, size int, tenant string) error {
+			if !armed.Load() || !strings.HasSuffix(rpc, "#list_keys") {
+				return nil
+			}
+			return fault(target, rpc, size, tenant)
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ds.Close)
+	buildEventSample(t, ds, "droplist", 1, 2, 20)
+	dset, _ := ds.OpenDataSet(context.Background(), "droplist")
+
+	armed.Store(true)
+	mpi.NewWorld(3).Run(func(c *mpi.Comm) {
+		stats, err := ds.ProcessEvents(context.Background(), c, dset, PEPOptions{}, func(*Event) error { return nil })
+		if !errors.Is(err, chaos.ErrInjectedDrop) {
+			t.Errorf("rank %d: err = %v after a dropped listing (%d of 40 events delivered), want the injected drop",
+				c.Rank(), err, stats.TotalEvents)
+		}
+	})
+	if in.Drops() != 1 {
+		t.Fatalf("scenario dropped %d messages, want 1", in.Drops())
 	}
 }

@@ -129,21 +129,25 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 				degraded += len(g.keys)
 				continue
 			}
-			p.ds.noteReadFailure(g.db, err)
 			// Retry the whole group against the remaining replicas before
-			// degrading. Keys whose replica set does not include the
+			// degrading, as long as the failures are the kind failover
+			// routes around. Keys whose replica set does not include the
 			// fallback database simply come back not-found and load
 			// on-demand later — a miss, never a wrong answer.
 			recovered := false
-			for _, fdb := range g.fallback {
-				vals, found, rerr := p.ds.yc.GetMulti(ctx, fdb, g.keys, len(g.keys) >= 32)
-				if rerr == nil {
-					res = yokan.GetMultiResult{Vals: vals, Found: found}
-					recovered = true
-					failover += len(g.keys)
-					break
+			if p.ds.failedOver(g.db, err) {
+				for _, fdb := range g.fallback {
+					vals, found, rerr := p.ds.yc.GetMulti(ctx, fdb, g.keys, len(g.keys) >= 32)
+					if rerr == nil {
+						res = yokan.GetMultiResult{Vals: vals, Found: found}
+						recovered = true
+						failover += len(g.keys)
+						break
+					}
+					if !p.ds.failedOver(fdb, rerr) {
+						break
+					}
 				}
-				p.ds.noteReadFailure(fdb, rerr)
 			}
 			if !recovered {
 				degraded += len(g.keys)

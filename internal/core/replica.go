@@ -73,24 +73,32 @@ func (ds *DataStore) unionReplicas(role func(*View) []yokan.DBHandle, parentKey 
 	return out
 }
 
+// Role accessors: a view's databases by role, shared by the replica-set
+// helpers below, the page-read resolvers and the migration key-walk.
+func datasetDBs(v *View) []yokan.DBHandle { return v.DatasetDBs }
+func runDBs(v *View) []yokan.DBHandle     { return v.RunDBs }
+func subrunDBs(v *View) []yokan.DBHandle  { return v.SubrunDBs }
+func eventDBs(v *View) []yokan.DBHandle   { return v.EventDBs }
+func productDBs(v *View) []yokan.DBHandle { return v.ProductDBs }
+
 func (ds *DataStore) datasetReplicas(path string) []yokan.DBHandle {
-	return ds.unionReplicas(func(v *View) []yokan.DBHandle { return v.DatasetDBs }, []byte(parentPath(path)))
+	return ds.unionReplicas(datasetDBs, []byte(parentPath(path)))
 }
 
 func (ds *DataStore) runReplicas(dsKey keys.ContainerKey) []yokan.DBHandle {
-	return ds.unionReplicas(func(v *View) []yokan.DBHandle { return v.RunDBs }, dsKey.Bytes())
+	return ds.unionReplicas(runDBs, dsKey.Bytes())
 }
 
 func (ds *DataStore) subrunReplicas(runKey keys.ContainerKey) []yokan.DBHandle {
-	return ds.unionReplicas(func(v *View) []yokan.DBHandle { return v.SubrunDBs }, runKey.Bytes())
+	return ds.unionReplicas(subrunDBs, runKey.Bytes())
 }
 
 func (ds *DataStore) eventReplicas(srKey keys.ContainerKey) []yokan.DBHandle {
-	return ds.unionReplicas(func(v *View) []yokan.DBHandle { return v.EventDBs }, srKey.Bytes())
+	return ds.unionReplicas(eventDBs, srKey.Bytes())
 }
 
 func (ds *DataStore) productReplicas(ck keys.ContainerKey) []yokan.DBHandle {
-	return ds.unionReplicas(func(v *View) []yokan.DBHandle { return v.ProductDBs }, ck.Bytes())
+	return ds.unionReplicas(productDBs, ck.Bytes())
 }
 
 // readOrder reorders a replica set for reading: Alive servers first, then
@@ -169,156 +177,162 @@ func (ds *DataStore) softMiss(replicas []yokan.DBHandle) bool {
 	return len(replicas) > ds.rf || ds.alt.Load() != nil
 }
 
-// missRetries bounds the re-resolve loop in getFO/existsFO: a migration
+// missRetries bounds the re-resolve loop in replicaRead: a migration
 // commits at most once per window, so one retry usually settles it; the
 // bound only guards against back-to-back topology changes.
 const missRetries = 3
 
-// getFO is Get with resolve-retry and health-gated failover. The replica
-// set is resolved through the closure so that a miss observed across a view
-// transition (CommitMigration/RetireView bumped viewGen after we resolved —
-// the copy we asked may have been retired) is re-resolved against the new
-// committed view instead of trusted.
-func (ds *DataStore) getFO(ctx context.Context, resolve func() []yokan.DBHandle, key []byte) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		gen := ds.viewGen.Load()
-		data, err := ds.getFrom(ctx, resolve(), key)
-		if err == nil || !errors.Is(err, yokan.ErrKeyNotFound) ||
-			attempt >= missRetries || ds.viewGen.Load() == gen {
-			return data, err
-		}
+// failedOver classifies a failed replica read, the one step every read path
+// (replicaRead and the Prefetcher's grouped fan-out) takes its fallback and
+// health bookkeeping from: a routable failure is fed to the health tracker
+// and reports true — try the next copy; anything else is definitive and
+// reports false — another replica would say the same thing.
+func (ds *DataStore) failedOver(db yokan.DBHandle, err error) bool {
+	if !routable(err) {
+		return false
 	}
+	ds.noteReadFailure(db, err)
+	return true
 }
 
-// existsFO is Exists with the same resolve-retry contract as getFO: any
-// per-key false answer observed across a view transition is re-resolved.
-func (ds *DataStore) existsFO(ctx context.Context, resolve func() []yokan.DBHandle, ks [][]byte) ([]bool, error) {
+// replicaRead is the one generation-guarded failover read; point gets,
+// existence probes, key-listing pages and scan pages all instantiate it
+// (DESIGN.md §18). try asks a single replica and reports whether its answer
+// was a hit — a value, a present key, a page — or a miss.
+//
+// The replica set comes from resolve, never from a caller's stored slice,
+// and is tried in read order: a routable failure moves on to the next copy,
+// any other error is definitive. The first answer settles the read, except
+// that across a migration window (softMiss) a miss keeps going until some
+// copy hits or every copy agrees — and a miss mixed with a routable failure
+// stays a failure, because the unreachable copy might have held the key.
+//
+// CommitMigration bumps viewGen before RetireView erases anything, so a
+// call during which viewGen did not move saw no half-retired copy. When it
+// did move, the outcome — answer or error, a drained server may be shutting
+// down under the call — is discarded and the read re-resolved against the
+// new committed view; pages are addressed by replica-independent resume
+// keys, which makes the re-fetch exact.
+func replicaRead[T any](ctx context.Context, ds *DataStore, resolve func() []yokan.DBHandle,
+	try func(context.Context, yokan.DBHandle) (T, bool, error)) (T, bool, error) {
+	var zero T
 	for attempt := 0; ; attempt++ {
 		gen := ds.viewGen.Load()
-		found, err := ds.existsFrom(ctx, resolve(), ks)
-		if err != nil {
-			return nil, err
-		}
-		all := true
-		for _, f := range found {
-			if !f {
-				all = false
+		replicas := resolve()
+		soft := ds.softMiss(replicas)
+		var (
+			out      T
+			hit      bool
+			answered bool
+			failure  error
+		)
+		for _, db := range ds.readOrder(replicas) {
+			v, ok, err := try(ctx, db)
+			if err != nil {
+				failure = err
+				if ds.failedOver(db, err) {
+					continue
+				}
+				break // definitive: no other copy is asked
+			}
+			if !answered {
+				answered = true
+				ds.countFailover(replicas[0], db)
+			}
+			out, hit = v, ok
+			if hit || !soft {
+				failure = nil
 				break
 			}
 		}
-		if all || attempt >= missRetries || ds.viewGen.Load() == gen {
-			return found, nil
-		}
-	}
-}
-
-// getFrom is one Get pass over a resolved replica set: replicas are tried
-// in read order; transport-class failures move on to the next copy, while
-// an application-level answer (value or yokan.ErrKeyNotFound) is
-// authoritative and returned immediately — except that during a migration
-// window a miss falls through to the remaining replicas (softMiss).
-func (ds *DataStore) getFrom(ctx context.Context, replicas []yokan.DBHandle, key []byte) ([]byte, error) {
-	soft := ds.softMiss(replicas)
-	var lastErr, notFound error
-	for _, db := range ds.readOrder(replicas) {
-		data, err := ds.yc.Get(ctx, db, key)
-		if err == nil {
-			ds.countFailover(replicas[0], db)
-			return data, nil
-		}
-		if errors.Is(err, yokan.ErrKeyNotFound) {
-			if !soft {
-				ds.countFailover(replicas[0], db)
-				return data, err
-			}
-			notFound = err
+		if ds.viewGen.Load() != gen && attempt < missRetries {
 			continue
 		}
-		if !routable(err) {
-			return nil, err
+		if failure != nil {
+			return zero, false, failure
 		}
-		ds.noteReadFailure(db, err)
-		lastErr = err
+		return out, hit, nil
 	}
-	// A miss is only trustworthy when no replica failed for other reasons:
-	// an unreachable copy might have held the key.
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return nil, notFound
 }
 
-// existsFrom is one Exists pass over a resolved replica set with
-// health-gated failover. During a migration window the per-key answers are
-// OR-ed across the replica set (softMiss): a key exists if any view's copy
-// holds it — but, mirroring getFrom, a per-key false is only trustworthy
-// when no replica failed, because an unreachable copy might have held the
-// key.
-func (ds *DataStore) existsFrom(ctx context.Context, replicas []yokan.DBHandle, ks [][]byte) ([]bool, error) {
-	soft := ds.softMiss(replicas)
-	var lastErr error
-	var acc []bool
-	for _, db := range ds.readOrder(replicas) {
+// get reads one key's value; hit is false when no replica holds it.
+func (ds *DataStore) get(ctx context.Context, resolve func() []yokan.DBHandle, key []byte) ([]byte, bool, error) {
+	return replicaRead(ctx, ds, resolve, func(ctx context.Context, db yokan.DBHandle) ([]byte, bool, error) {
+		data, err := ds.yc.Get(ctx, db, key)
+		if errors.Is(err, yokan.ErrKeyNotFound) {
+			return nil, false, nil
+		}
+		return data, err == nil, err
+	})
+}
+
+// has reports whether any replica holds key.
+func (ds *DataStore) has(ctx context.Context, resolve func() []yokan.DBHandle, key []byte) (bool, error) {
+	ks := [][]byte{key}
+	found, _, err := replicaRead(ctx, ds, resolve, func(ctx context.Context, db yokan.DBHandle) (bool, bool, error) {
 		found, err := ds.yc.Exists(ctx, db, ks)
 		if err != nil {
-			if !routable(err) {
-				return nil, err
-			}
-			ds.noteReadFailure(db, err)
-			lastErr = err
-			continue
+			return false, false, err
 		}
-		if acc == nil {
-			ds.countFailover(replicas[0], db)
-			if !soft {
-				return found, nil
-			}
-			acc = found
-		} else {
-			for i := range acc {
-				acc[i] = acc[i] || found[i]
-			}
-		}
-		all := true
-		for _, f := range acc {
-			if !f {
-				all = false
-				break
-			}
-		}
-		if all {
-			return acc, nil
-		}
-	}
-	// Reaching here means some accumulated answer is still false (an all-true
-	// set returns inside the loop). If any replica failed, that false may
-	// merely mean the copy that held the key was unreachable — surface the
-	// failure instead of a stale miss.
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return acc, nil
+		return found[0], found[0], nil
+	})
+	return found, err
 }
 
-// listKeysFO is one ListKeys page with health-gated failover. Pages are
-// addressed by the resume cursor, so an iteration that switches replicas
-// mid-listing still sees every key exactly once — every usable replica
-// holds the same key set.
-func (ds *DataStore) listKeysFO(ctx context.Context, replicas []yokan.DBHandle, from, prefix []byte, max int) ([][]byte, error) {
-	var lastErr error
-	for _, db := range ds.readOrder(replicas) {
-		page, err := ds.yc.ListKeys(ctx, db, from, prefix, max)
-		if err == nil {
-			ds.countFailover(replicas[0], db)
-			return page, nil
-		}
-		if !routable(err) {
-			return nil, err
-		}
-		ds.noteReadFailure(db, err)
-		lastErr = err
+// keyPager lists the keys under prefix in one replica set, a page per
+// next call.
+type keyPager struct {
+	ds      *DataStore
+	resolve func() []yokan.DBHandle
+	prefix  []byte
+	size    int
+	from    []byte // resume key: the last key already delivered
+	done    bool   // the listing is exhausted
+}
+
+// next fetches the next page. A short page ends the listing.
+func (p *keyPager) next(ctx context.Context) ([][]byte, error) {
+	if p.ds.closed.Load() {
+		return nil, ErrClosed
 	}
-	return nil, lastErr
+	page, _, err := replicaRead(ctx, p.ds, p.resolve, func(ctx context.Context, db yokan.DBHandle) ([][]byte, bool, error) {
+		page, err := p.ds.yc.ListKeys(ctx, db, p.from, p.prefix, p.size)
+		return page, err == nil, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(page) > 0 {
+		p.from = page[len(page)-1]
+	}
+	p.done = len(page) < p.size
+	return page, nil
+}
+
+// committedReplicas resolves the replica set of a page read (key listing or
+// scan) for keys placed by parentKey: the committed view's replicas only.
+// Unlike the per-role helpers above it does not union in the migration
+// alternate — a page has no "miss" another copy could overrule, and the
+// alternate's copy of a key range is incomplete until the window closes.
+func (ds *DataStore) committedReplicas(role func(*View) []yokan.DBHandle, parentKey []byte) []yokan.DBHandle {
+	return ds.replicasFor(role(ds.v()), parentKey)
+}
+
+// pager lists the keys under prefix held by the role's committed replica
+// set for parentKey.
+func (ds *DataStore) pager(role func(*View) []yokan.DBHandle, parentKey, prefix []byte, size int) keyPager {
+	return keyPager{
+		ds:      ds,
+		resolve: func() []yokan.DBHandle { return ds.committedReplicas(role, parentKey) },
+		prefix:  prefix,
+		size:    size,
+	}
+}
+
+// oneDB resolves to a single fixed database, for per-database enumerations
+// (the PEP loader, the product census) that page one copy on purpose.
+func oneDB(db yokan.DBHandle) func() []yokan.DBHandle {
+	return func() []yokan.DBHandle { return []yokan.DBHandle{db} }
 }
 
 // writeTolerable decides whether a failed replica write may be dropped

@@ -383,7 +383,7 @@ func TestResyncServerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalReplayed() == 0 {
+	if st.TotalCopied() == 0 {
 		t.Fatalf("resync replayed nothing: %+v", st)
 	}
 	if st.TotalScanned() == 0 {
@@ -450,47 +450,119 @@ func TestResyncServerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExistsFromRefusesPartialMissOnReplicaFailure pins the softMiss
-// contract against unreachable replicas: when the per-key answers are OR-ed
-// across a migration-widened set, a false accumulated while some replica
-// failed transport is not trustworthy — the copy that held the key may have
-// been the unreachable one — so existsFrom must surface the failure instead
-// of a stale miss (mirroring getFrom).
-func TestExistsFromRefusesPartialMissOnReplicaFailure(t *testing.T) {
+// TestReplicaReadContract pins replicaRead's contract once, over all four of
+// its instantiations — point get, existence probe, key-listing page, scan
+// page — against hand-built replica sets on a two-server, rf=1 cluster (any
+// set wider than rf reads as a migration-widened one: softMiss is on).
+//
+// Point reads treat "this copy lacks the key" as a miss that another copy
+// may overrule; for page reads any replica's page is an answer, which is
+// why their resolvers only ever name committed-view replicas.
+func TestReplicaReadContract(t *testing.T) {
+	schema := registerScanTrack(t)
 	ds, d, _ := newTestCluster(t, bedrock.DeploySpec{Servers: 2})
 	ctx := context.Background()
 
+	// holder has the datum; empty (same server) and far (the other server)
+	// do not.
 	v := ds.v()
-	db0 := v.EventDBs[0]
-	var db1 yokan.DBHandle
-	for _, db := range v.EventDBs[1:] {
-		if db.Addr != db0.Addr {
-			db1 = db
-			break
+	holder, empty := v.EventDBs[0], v.EventDBs[1]
+	var far yokan.DBHandle
+	for _, db := range v.EventDBs {
+		if db.Addr != holder.Addr {
+			far = db
 		}
 	}
-	if db1.Name == "" {
-		t.Fatal("test bug: no event database on a second server")
+	if empty.Addr != holder.Addr || far.Name == "" {
+		t.Fatal("test bug: expected two event databases on the first server and one on the second")
 	}
-	key := []byte("exists/partial-miss")
-	if err := ds.yc.Put(ctx, db0, key, []byte("x")); err != nil {
+	key := []byte("contract/key")
+	if err := ds.yc.Put(ctx, holder, key, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	// A set wider than rf=1 turns softMiss on: the answers are OR-ed.
-	set := []yokan.DBHandle{db0, db1}
-	found, err := ds.existsFrom(ctx, set, [][]byte{key})
-	if err != nil || len(found) != 1 || !found[0] {
-		t.Fatalf("healthy OR pass: found=%v err=%v", found, err)
+	srKey := keys.ForDataSet([keys.UUIDLen]byte{7}).Child(1).Child(2)
+	page := newOpenPage(schema, pageGroupKey(srKey, "trk", schema.TypeName()), srKey)
+	if err := page.appendEvent(3, trackRows(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	pks, pvs := page.pageKVs()
+	if err := ds.yc.PutMulti(ctx, holder, pks, pvs); err != nil {
+		t.Fatal(err)
 	}
 
-	// Kill the server holding the only copy: the surviving replica answers
-	// false, but that miss must not be trusted.
+	kinds := []struct {
+		name  string
+		paged bool
+		read  func(resolve func() []yokan.DBHandle) (hit bool, err error)
+	}{
+		{"get", false, func(resolve func() []yokan.DBHandle) (bool, error) {
+			_, hit, err := ds.get(ctx, resolve, key)
+			return hit, err
+		}},
+		{"exists", false, func(resolve func() []yokan.DBHandle) (bool, error) {
+			return ds.has(ctx, resolve, key)
+		}},
+		{"list-page", true, func(resolve func() []yokan.DBHandle) (bool, error) {
+			pg := keyPager{ds: ds, resolve: resolve, prefix: []byte("contract/"), size: 8}
+			keys, err := pg.next(ctx)
+			return len(keys) > 0, err
+		}},
+		{"scan-page", true, func(resolve func() []yokan.DBHandle) (bool, error) {
+			res, err := ds.scanPage(ctx, resolve, yokan.ScanRequest{Group: page.group, Cols: allColumns(schema), Hi: ^uint64(0)})
+			return err == nil && len(res.Events) > 0, err
+		}},
+	}
+	set := func(dbs ...yokan.DBHandle) func() []yokan.DBHandle {
+		return func() []yokan.DBHandle { return dbs }
+	}
+	check := func(name, scenario string, hit bool, err error, wantHit, wantErr bool) {
+		t.Helper()
+		if (err != nil) != wantErr || (err == nil && hit != wantHit) {
+			t.Errorf("%s, %s: hit=%v err=%v, want hit=%v error=%v", name, scenario, hit, err, wantHit, wantErr)
+		}
+	}
+
+	for _, k := range kinds {
+		hit, err := k.read(set(holder))
+		check(k.name, "single holder", hit, err, true, false)
+
+		// Soft-miss agreement: a point read keeps going past the copy that
+		// lacks the key; a page is taken from the first copy that answers.
+		hit, err = k.read(set(far, holder))
+		check(k.name, "miss then hit", hit, err, !k.paged, false)
+		hit, err = k.read(set(far, empty))
+		check(k.name, "every copy misses", hit, err, false, false)
+
+		// Generation re-resolve: the first resolution names a copy that
+		// lacks the datum and a commit lands while the read is in flight;
+		// the outcome — miss or page — is discarded and the read re-resolved.
+		calls := 0
+		hit, err = k.read(func() []yokan.DBHandle {
+			if calls++; calls == 1 {
+				ds.viewGen.Add(1)
+				return []yokan.DBHandle{empty}
+			}
+			return []yokan.DBHandle{holder}
+		})
+		check(k.name, "view changed mid-read", hit, err, true, false)
+		if calls != 2 {
+			t.Errorf("%s: resolved %d times across one view change, want 2", k.name, calls)
+		}
+	}
+
+	// Kill the holder's server: its copies fail transport from here on.
 	for _, s := range d.Servers {
-		if s.Addr() == db0.Addr {
+		if s.Addr() == holder.Addr {
 			s.Shutdown()
 		}
 	}
-	if found, err = ds.existsFrom(ctx, set, [][]byte{key}); err == nil {
-		t.Fatalf("partial miss trusted despite an unreachable replica: %v", found)
+	for _, k := range kinds {
+		// A miss mixed with a transport failure stays a failure for point
+		// reads — the unreachable copy might have held the key. A page read
+		// fails over: the surviving replica's page stands.
+		hit, err := k.read(set(holder, far))
+		check(k.name, "failure then miss", hit, err, false, !k.paged)
+		hit, err = k.read(set(holder))
+		check(k.name, "every copy fails", hit, err, false, true)
 	}
 }

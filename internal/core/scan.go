@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"github.com/hep-on-hpc/hepnos-go/internal/keys"
 	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 	"github.com/hep-on-hpc/hepnos-go/internal/qos"
 	"github.com/hep-on-hpc/hepnos-go/internal/serde"
@@ -18,35 +19,29 @@ import (
 // The analysis loop then touches a small fraction of the wire bytes a
 // full row-path decode would move.
 
-// scanFO is one pushdown-scan call with health-gated failover, mirroring
-// getFO: replicas are tried in read order, transport-class failures move
-// to the next copy, an application-level answer is authoritative. Page
+// scanPage is one pushdown-scan call as a replicaRead instantiation. Page
 // keys are identical on every replica, so a resume cursor taken from one
-// copy is valid on another — a paged scan survives mid-flight failover.
-// Successful calls feed the client's hepnos_scan_* counters.
-func (ds *DataStore) scanFO(ctx context.Context, replicas []yokan.DBHandle, req yokan.ScanRequest) (*yokan.ScanResult, error) {
-	var lastErr error
-	for _, db := range ds.readOrder(replicas) {
+// copy is valid on another — a paged scan survives mid-flight failover and
+// a re-fetch after a view change. Callers resolve with committedReplicas,
+// like key listings. Delivered pages feed the client's hepnos_scan_*
+// counters.
+func (ds *DataStore) scanPage(ctx context.Context, resolve func() []yokan.DBHandle, req yokan.ScanRequest) (*yokan.ScanResult, error) {
+	res, _, err := replicaRead(ctx, ds, resolve, func(ctx context.Context, db yokan.DBHandle) (*yokan.ScanResult, bool, error) {
 		res, err := ds.yc.Scan(ctx, db, req)
-		if err == nil {
-			ds.countFailover(replicas[0], db)
-			ds.scanRequests.Add(1)
-			ds.scanPagesScanned.Add(int64(res.PagesScanned))
-			ds.scanRowsScanned.Add(int64(res.RowsScanned))
-			ds.scanRowsMatched.Add(int64(res.RowsMatched))
-			ds.scanBytesReturned.Add(int64(res.ReturnedBytes))
-			if res.FullBytes > res.ReturnedBytes {
-				ds.scanBytesSaved.Add(int64(res.FullBytes - res.ReturnedBytes))
-			}
-			return res, nil
-		}
-		if !routable(err) {
-			return nil, err
-		}
-		ds.noteReadFailure(db, err)
-		lastErr = err
+		return res, err == nil, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	ds.scanRequests.Add(1)
+	ds.scanPagesScanned.Add(int64(res.PagesScanned))
+	ds.scanRowsScanned.Add(int64(res.RowsScanned))
+	ds.scanRowsMatched.Add(int64(res.RowsMatched))
+	ds.scanBytesReturned.Add(int64(res.ReturnedBytes))
+	if res.FullBytes > res.ReturnedBytes {
+		ds.scanBytesSaved.Add(int64(res.FullBytes - res.ReturnedBytes))
+	}
+	return res, nil
 }
 
 // allColumns returns the identity projection for a schema.
@@ -65,7 +60,7 @@ func allColumns(schema *serde.ColumnSchema) []uint32 {
 func (c *container) loadColumnar(ctx context.Context, schema *serde.ColumnSchema, label string, ptr any) (found bool, err error) {
 	srKey, _ := c.key.Parent()
 	ev := c.key.Number()
-	replicas := c.ds.productReplicas(srKey)
+	resolve := func() []yokan.DBHandle { return c.ds.committedReplicas(productDBs, srKey.Bytes()) }
 	req := yokan.ScanRequest{
 		Group: pageGroupKey(srKey, label, schema.TypeName()),
 		Cols:  allColumns(schema),
@@ -74,7 +69,7 @@ func (c *container) loadColumnar(ctx context.Context, schema *serde.ColumnSchema
 	chunks := make([][]byte, schema.NumFields())
 	rows := 0
 	for {
-		res, err := c.ds.scanFO(ctx, replicas, req)
+		res, err := c.ds.scanPage(ctx, resolve, req)
 		if err != nil {
 			return true, err
 		}
@@ -99,13 +94,13 @@ func (c *container) loadColumnar(ctx context.Context, schema *serde.ColumnSchema
 func (c *container) hasColumnar(ctx context.Context, schema *serde.ColumnSchema, label string) (bool, error) {
 	srKey, _ := c.key.Parent()
 	ev := c.key.Number()
-	replicas := c.ds.productReplicas(srKey)
+	resolve := func() []yokan.DBHandle { return c.ds.committedReplicas(productDBs, srKey.Bytes()) }
 	req := yokan.ScanRequest{
 		Group: pageGroupKey(srKey, label, schema.TypeName()),
 		Lo:    ev, Hi: ev,
 	}
 	for {
-		res, err := c.ds.scanFO(ctx, replicas, req)
+		res, err := c.ds.scanPage(ctx, resolve, req)
 		if err != nil {
 			return false, err
 		}
@@ -145,20 +140,19 @@ type ScanStats struct {
 //
 // Cursors are not safe for concurrent use.
 type ScanCursor struct {
-	ctx      context.Context
-	ds       *DataStore
-	schema   *serde.ColumnSchema
-	slice    reflect.Type // the product slice type []T
-	label    string
-	pred     serde.Predicate
-	cols     []uint32
-	pageSize int
+	ctx    context.Context
+	ds     *DataStore
+	schema *serde.ColumnSchema
+	slice  reflect.Type // the product slice type []T
+	label  string
+	pred   serde.Predicate
+	cols   []uint32
 
 	runs *RunCursor
 	srs  *SubRunCursor
 
 	curRun, curSub uint64
-	replicas       []yokan.DBHandle
+	srKey          keys.ContainerKey // the subrun being scanned
 	group          []byte
 	from           []byte
 	inSubrun       bool // a subrun's paged scan is in progress
@@ -179,7 +173,7 @@ type ScanCursor struct {
 // field. Scans run in the interactive QoS class and fail over between
 // replicas like any read.
 func (d *DataSet) Scan(ctx context.Context, label string, example any, pred serde.Predicate, columns ...string) *ScanCursor {
-	c := &ScanCursor{ds: d.ds, label: label, pageSize: listPageSize}
+	c := &ScanCursor{ds: d.ds, label: label}
 	c.ctx = qos.WithClass(ctx, qos.ClassInteractive)
 	schema := serde.ColumnarOf(example)
 	if schema == nil {
@@ -256,7 +250,7 @@ func (c *ScanCursor) nextSubrun() bool {
 			sr := c.srs.SubRun()
 			c.curSub = sr.Number()
 			c.group = pageGroupKey(sr.Key(), c.label, c.schema.TypeName())
-			c.replicas = c.ds.productReplicas(sr.Key())
+			c.srKey = sr.Key()
 			c.from = nil
 			c.inSubrun = true
 			return true
@@ -284,7 +278,8 @@ func (c *ScanCursor) nextSubrun() bool {
 // set); surviving rows may still be empty on a true return.
 func (c *ScanCursor) fetch() bool {
 	sp := c.ds.tracer.Start("core:scan", obs.KindInternal, obs.SpanFromContext(c.ctx), "")
-	res, err := c.ds.scanFO(c.ctx, c.replicas, yokan.ScanRequest{
+	resolve := func() []yokan.DBHandle { return c.ds.committedReplicas(productDBs, c.srKey.Bytes()) }
+	res, err := c.ds.scanPage(c.ctx, resolve, yokan.ScanRequest{
 		Group: c.group,
 		Pred:  c.pred,
 		Cols:  c.cols,
@@ -376,14 +371,11 @@ func (ds *DataStore) ProductCounts(ctx context.Context) ([]ProductDBCount, error
 	out := make([]ProductDBCount, 0, len(productDBs))
 	for _, db := range productDBs {
 		pc := ProductDBCount{DB: db}
-		var from []byte
-		for {
-			page, err := ds.yc.ListKeys(ctx, db, from, nil, listPageSize)
+		pg := keyPager{ds: ds, resolve: oneDB(db), size: listPageSize}
+		for !pg.done {
+			page, err := pg.next(ctx)
 			if err != nil {
 				return nil, fmt.Errorf("hepnos: product counts from %s: %w", db, err)
-			}
-			if len(page) == 0 {
-				break
 			}
 			for _, k := range page {
 				if len(k) >= len(pageGroupMarker) && string(k[:len(pageGroupMarker)]) == pageGroupMarker {
@@ -392,7 +384,6 @@ func (ds *DataStore) ProductCounts(ctx context.Context) ([]ProductDBCount, error
 					pc.Rows++
 				}
 			}
-			from = page[len(page)-1]
 		}
 		out = append(out, pc)
 	}

@@ -76,9 +76,11 @@ func TestQoSTwoTenantFairness(t *testing.T) {
 	ctx := context.Background()
 	dep := qosDeploy(t)
 
+	// stormLen observations out of every 25 are the storm.
+	const stormLen = 8
 	seed := chaos.SeedFromEnv(11)
 	in := chaos.New(seed, &chaos.OverloadStorm{
-		Period: 25, Len: 8,
+		Period: 25, Len: stormLen,
 		// Only the greedy tenant's wire storms; the interactive tenant's
 		// traffic is clean so its latency bound measures the *gate's*
 		// isolation, not the storm's mercy.
@@ -86,8 +88,15 @@ func TestQoSTwoTenantFairness(t *testing.T) {
 	})
 	chaos.Report(t, in)
 
+	// Every attempt is itself one observation of the injector, so at most
+	// stormLen consecutive attempts of one call can fall inside a storm
+	// window: with stormLen retries the last attempt always lands in calm,
+	// and no flush can surface the storm's transport error. The breaker
+	// threshold sits above the same bound so a full window of drops cannot
+	// trip it open and turn the next flush into an (untyped) fast failure.
 	pol := resilience.Default()
-	pol.MaxRetries = 6
+	pol.MaxRetries = stormLen
+	pol.Breaker = &resilience.BreakerConfig{FailureThreshold: stormLen + 1}
 	pol.InitialBackoff = 100 * time.Microsecond
 	pol.MaxBackoff = 2 * time.Millisecond
 
