@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hep-on-hpc/hepnos-go/internal/asyncengine"
 	"github.com/hep-on-hpc/hepnos-go/internal/bedrock"
 	"github.com/hep-on-hpc/hepnos-go/internal/chaos"
 	"github.com/hep-on-hpc/hepnos-go/internal/core"
@@ -473,7 +472,6 @@ func TestChaosStormShedsTyped(t *testing.T) {
 		Tenant:     "greedy",
 		NetSim:     &fabric.NetSim{Fault: in.ClientFault()},
 		Resilience: pol,
-		Async:      &asyncengine.Config{Disabled: true}, // sync flushes: errors surface per call
 	})
 	if err != nil {
 		t.Fatal(err)

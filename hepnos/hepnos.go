@@ -54,9 +54,9 @@ type (
 	Event = core.Event
 	// EventID is the (run, subrun, event) coordinate triple.
 	EventID = core.EventID
-	// WriteBatch groups updates by target database (§II-D). It flushes
-	// synchronously from NewWriteBatch, asynchronously on the client's
-	// AsyncEngine from NewAsyncWriteBatch.
+	// WriteBatch groups updates by target database (§II-D) and flushes on
+	// the client's AsyncEngine. Flush blocks on a batch from NewWriteBatch
+	// and returns at once on one from NewAsyncWriteBatch.
 	WriteBatch = core.WriteBatch
 	// Prefetcher bulk-loads selected products for event-key batches,
 	// fanning per-database groups out on the AsyncEngine.

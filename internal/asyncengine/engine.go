@@ -60,9 +60,6 @@ type PoolSpec struct {
 // bedrock JSON document under "async".
 type Config struct {
 	Pools []PoolSpec `json:"pools,omitempty"`
-	// Disabled turns the engine off entirely: layers fall back to their
-	// synchronous paths (inline flushes, serial prefetch, no lookahead).
-	Disabled bool `json:"disabled,omitempty"`
 }
 
 // DefaultConfig sizes the three standard pools the way the paper's client
@@ -92,9 +89,9 @@ func newEventual[T any]() *Eventual[T] {
 	return &Eventual[T]{done: make(chan struct{})}
 }
 
-// Resolved returns an eventual that is already resolved, for synchronous
-// fallback paths.
-func Resolved[T any](v T, err error) *Eventual[T] {
+// resolved returns an eventual that is already resolved, for submissions
+// refused before their task was queued.
+func resolved[T any](v T, err error) *Eventual[T] {
 	e := newEventual[T]()
 	e.set(v, err)
 	return e
@@ -157,9 +154,7 @@ type pool struct {
 	reserveOnce sync.Once
 }
 
-// Engine owns the client's argo runtime and its bounded pools. A nil
-// *Engine is valid everywhere and means "synchronous": Run executes inline,
-// Go spawns a plain goroutine, groups run their tasks sequentially.
+// Engine owns the client's argo runtime and its bounded pools.
 type Engine struct {
 	rt     *argo.Runtime
 	pools  map[string]*pool
@@ -171,13 +166,9 @@ type Engine struct {
 	down   sync.Once
 }
 
-// New starts an engine from cfg. A Disabled config yields (nil, nil): the
-// nil engine is the synchronous fallback. An empty pool list gets
-// DefaultConfig's pools.
+// New starts an engine from cfg. An empty pool list gets DefaultConfig's
+// pools.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Disabled {
-		return nil, nil
-	}
 	if len(cfg.Pools) == 0 {
 		cfg.Pools = DefaultConfig().Pools
 	}
@@ -233,15 +224,10 @@ func New(cfg Config) (*Engine, error) {
 // (backpressure) and aborts — returning an already-resolved eventual — when
 // ctx is canceled or the engine shuts down while waiting. The task runs
 // with a context canceled by either the caller's ctx or engine shutdown,
-// whichever comes first. Run never returns nil. On a nil engine fn runs
-// inline in the caller.
+// whichever comes first. Run never returns nil.
 func Run[T any](e *Engine, ctx context.Context, poolName string, fn func(context.Context) (T, error)) *Eventual[T] {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if e == nil {
-		v, err := fn(ctx)
-		return Resolved(v, err)
 	}
 	ev, _ := runWith(e, ctx, poolName, fn, nil)
 	return ev
@@ -262,20 +248,20 @@ func runWith[T any](e *Engine, ctx context.Context, poolName string, fn func(con
 	var zero T
 	p := e.pools[poolName]
 	if p == nil {
-		return Resolved(zero, fmt.Errorf("asyncengine: unknown pool %q", poolName)), false
+		return resolved(zero, fmt.Errorf("asyncengine: unknown pool %q", poolName)), false
 	}
 	if e.closed.Load() {
 		p.counters.Rejected()
-		return Resolved(zero, ErrEngineClosed), false
+		return resolved(zero, ErrEngineClosed), false
 	}
 	select {
 	case p.slots <- struct{}{}:
 	case <-ctx.Done():
 		p.counters.Rejected()
-		return Resolved(zero, ctx.Err()), false
+		return resolved(zero, ctx.Err()), false
 	case <-e.base.Done():
 		p.counters.Rejected()
-		return Resolved(zero, ErrEngineClosed), false
+		return resolved(zero, ErrEngineClosed), false
 	}
 	p.counters.Submitted()
 	ev := newEventual[T]()
@@ -305,7 +291,7 @@ func runWith[T any](e *Engine, ctx context.Context, poolName string, fn func(con
 		p.counters.Completed(ErrEngineClosed)
 		<-p.slots
 		e.wg.Done()
-		return Resolved(zero, ErrEngineClosed), false
+		return resolved(zero, ErrEngineClosed), false
 	}
 	return ev, true
 }
@@ -314,15 +300,10 @@ func runWith[T any](e *Engine, ctx context.Context, poolName string, fn func(con
 // ULT on a dynamically created execution stream. Use it for long-running
 // loops (PEP readers, loaders) that would otherwise occupy a fixed pool
 // stream for their whole lifetime. fn's context is canceled by ctx or by
-// engine shutdown. On a nil engine, fn gets a plain goroutine with ctx
-// unchanged.
+// engine shutdown.
 func (e *Engine) Go(ctx context.Context, fn func(context.Context)) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if e == nil {
-		go fn(ctx)
-		return
 	}
 	tctx, tcancel := context.WithCancel(ctx)
 	stop := context.AfterFunc(e.base, tcancel)
@@ -340,9 +321,6 @@ func (e *Engine) Go(ctx context.Context, fn func(context.Context)) {
 // Idempotent. Queued tasks that have not started resolve their eventuals
 // with the cancellation error instead of running.
 func (e *Engine) Shutdown() {
-	if e == nil {
-		return
-	}
 	e.down.Do(func() {
 		e.closed.Store(true)
 		e.cancel()
@@ -357,11 +335,8 @@ func (e *Engine) Shutdown() {
 // level, shrinking the effective in-flight bound. Level 0 releases every
 // reservation. At least one slot always remains usable, so progress (and
 // the pressure feedback loop itself) never stalls completely. Safe for
-// concurrent use; a nil engine ignores the signal.
+// concurrent use; an unknown pool ignores the signal.
 func (e *Engine) SetPressure(poolName string, level uint8) {
-	if e == nil {
-		return
-	}
 	p := e.pools[poolName]
 	if p == nil {
 		return
@@ -386,9 +361,6 @@ func (e *Engine) SetPressure(poolName string, level uint8) {
 // PressureReserved reports how many of the pool's slots the throttle
 // currently holds — the test- and metrics-visible effect of SetPressure.
 func (e *Engine) PressureReserved(poolName string) int {
-	if e == nil {
-		return 0
-	}
 	p := e.pools[poolName]
 	if p == nil {
 		return 0
@@ -435,9 +407,6 @@ func (e *Engine) reconcileReservations(p *pool) {
 // Metrics returns a per-pool snapshot of submission/completion/error
 // counters and queue depth, keyed by pool name.
 func (e *Engine) Metrics() map[string]stats.OpSnapshot {
-	if e == nil {
-		return nil
-	}
 	m := make(map[string]stats.OpSnapshot, len(e.pools))
 	for name, p := range e.pools {
 		m[name] = p.counters.Snapshot()
@@ -447,17 +416,12 @@ func (e *Engine) Metrics() map[string]stats.OpSnapshot {
 
 // PoolNames returns the configured pool names in declaration order.
 func (e *Engine) PoolNames() []string {
-	if e == nil {
-		return nil
-	}
 	return append([]string(nil), e.names...)
 }
 
 // Group runs a set of error-returning tasks on one pool with its own
 // concurrency limit, first-error cancellation, and a Wait that returns the
-// first error — errgroup semantics on engine pools. On a nil engine the
-// tasks run inline (sequentially) in the caller, still honoring the group
-// context and first-error cancellation.
+// first error — errgroup semantics on engine pools.
 type Group struct {
 	e      *Engine
 	pool   string
@@ -514,12 +478,6 @@ func (g *Group) Go(fn func(context.Context) error) {
 		if g.sem != nil {
 			<-g.sem
 		}
-	}
-	if g.e == nil {
-		err := fn(g.ctx)
-		g.report(err)
-		release()
-		return
 	}
 	g.wg.Add(1)
 	ev, submitted := runWith(g.e, g.ctx, g.pool, func(ctx context.Context) (Void, error) {

@@ -16,9 +16,6 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e == nil {
-		t.Fatal("New returned nil engine for enabled config")
-	}
 	t.Cleanup(e.Shutdown)
 	return e
 }
@@ -45,22 +42,6 @@ func TestRunDeliversValuesAndErrors(t *testing.T) {
 	_, err = Run(e, ctx, "no-such-pool", func(context.Context) (int, error) { return 0, nil }).Wait(ctx)
 	if err == nil {
 		t.Fatal("unknown pool accepted")
-	}
-}
-
-func TestNilEngineRunsInline(t *testing.T) {
-	var e *Engine
-	ran := false
-	v, err := Run(e, context.Background(), PoolRPC, func(context.Context) (string, error) {
-		ran = true
-		return "sync", nil
-	}).Wait(context.Background())
-	if !ran || v != "sync" || err != nil {
-		t.Fatalf("nil engine inline run: ran=%v v=%q err=%v", ran, v, err)
-	}
-	e.Shutdown() // must not panic
-	if e.Metrics() != nil || e.PoolNames() != nil {
-		t.Fatal("nil engine metrics/names not nil")
 	}
 }
 
@@ -252,11 +233,6 @@ func TestGoTrackedGoroutine(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Shutdown did not cancel/await the detached goroutine")
 	}
-
-	var nilEng *Engine
-	ran := make(chan struct{})
-	nilEng.Go(context.Background(), func(context.Context) { close(ran) })
-	<-ran
 }
 
 func TestGroupLimitsAndCollectsFirstError(t *testing.T) {
@@ -303,41 +279,48 @@ func TestGroupLimitsAndCollectsFirstError(t *testing.T) {
 	})
 }
 
-func TestGroupOnNilEngineRunsSequentially(t *testing.T) {
-	var e *Engine
-	g := e.NewGroup(context.Background(), PoolIngest, 4)
+// A group limited to one task in flight runs its tasks in submission
+// order, and its first error stops the tasks not yet started.
+func TestGroupLimitOneRunsSequentially(t *testing.T) {
+	e := newTestEngine(t, Config{Pools: []PoolSpec{{Name: "p", XStreams: 4, MaxQueue: 16}}})
+	g := e.NewGroup(context.Background(), "p", 1)
+	var mu sync.Mutex
 	order := make([]int, 0, 4)
 	for i := 0; i < 4; i++ {
 		i := i
 		g.Go(func(context.Context) error {
-			order = append(order, i) // safe: inline execution is sequential
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
 			return nil
 		})
 	}
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	if len(order) != 4 {
+		t.Fatalf("group ran %d of 4 tasks", len(order))
+	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("inline group ran out of order: %v", order)
+			t.Fatalf("limit-1 group ran out of order: %v", order)
 		}
 	}
 
-	// First error cancels the remaining inline tasks too.
-	g2 := e.NewGroup(context.Background(), PoolIngest, 1)
+	g2 := e.NewGroup(context.Background(), "p", 1)
 	boom := errors.New("boom")
-	ran := 0
+	var ran atomic.Int64
 	for i := 0; i < 4; i++ {
 		g2.Go(func(context.Context) error {
-			ran++
+			ran.Add(1)
 			return boom
 		})
 	}
 	if err := g2.Wait(); !errors.Is(err, boom) {
 		t.Fatal(err)
 	}
-	if ran != 1 {
-		t.Fatalf("inline group ran %d tasks after first error, want 1", ran)
+	if n := ran.Load(); n != 1 {
+		t.Fatalf("limit-1 group ran %d tasks after the first error, want 1", n)
 	}
 }
 
@@ -381,10 +364,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Pools: []PoolSpec{{Name: "a"}, {Name: "a"}}}); err == nil {
 		t.Fatal("duplicate pool accepted")
-	}
-	e, err := New(Config{Disabled: true})
-	if err != nil || e != nil {
-		t.Fatalf("disabled config = (%v, %v), want (nil, nil)", e, err)
 	}
 	e2 := newTestEngine(t, Config{}) // empty → defaults
 	names := e2.PoolNames()

@@ -7,12 +7,8 @@ import (
 
 // RegisterMetrics exposes the engine's per-pool counters in reg: the
 // cumulative submitted/completed/failed/rejected streams plus the live
-// queue depth and its high-water mark. Safe on a nil engine (registers
-// nothing — the synchronous fallback has no pools to measure).
+// queue depth and its high-water mark.
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
-	if e == nil {
-		return
-	}
 	perPool := func(value func(name string) float64) obs.Collector {
 		return func() []obs.Sample {
 			out := make([]obs.Sample, 0, len(e.names))

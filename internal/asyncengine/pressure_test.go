@@ -131,14 +131,9 @@ func TestSetPressureConvergesUnderChurn(t *testing.T) {
 	}
 }
 
-// Pressure on an unknown pool or a nil engine is ignored, and level 0 on a
-// pool that never saw pressure does not spin up a reconciler.
+// Pressure on an unknown pool (a nil pool lookup) is ignored, and shutdown
+// with a live reconciler does not hang.
 func TestSetPressureNilSafety(t *testing.T) {
-	var nilEngine *Engine
-	nilEngine.SetPressure(PoolIngest, 255) // must not panic
-	if nilEngine.PressureReserved(PoolIngest) != 0 {
-		t.Fatal("nil engine reported reservations")
-	}
 	e := pressureEngine(t, 4)
 	e.SetPressure("no-such-pool", 255)
 	if e.PressureReserved("no-such-pool") != 0 {

@@ -122,6 +122,26 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// A client document naming a setting that no longer exists fails to load
+// instead of being silently ignored: the synchronous-engine switch
+// "async.disabled" is gone, so a config that asks for it is refused.
+func TestClientConfigRejectsRemovedSettings(t *testing.T) {
+	if _, err := ParseClientConfig([]byte(`{"async":{"pools":[{"name":"rpc"}]}}`)); err != nil {
+		t.Fatalf("valid async block rejected: %v", err)
+	}
+	_, err := ParseClientConfig([]byte(`{"async":{"disabled":true}}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "disabled"`) {
+		t.Fatalf(`async.disabled: err = %v, want unknown field "disabled"`, err)
+	}
+	path := filepath.Join(t.TempDir(), "client.json")
+	if err := os.WriteFile(path, []byte(`{"group_file":"g.json","async":{"disabled":true}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadClientConfig(path); err == nil {
+		t.Fatal("ReadClientConfig accepted async.disabled")
+	}
+}
+
 func TestDeployPaperShape(t *testing.T) {
 	d, err := Deploy(DeploySpec{
 		Servers:             2,

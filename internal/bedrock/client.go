@@ -34,8 +34,7 @@ type ClientProcessConfig struct {
 	EagerLimit int `json:"eager_limit,omitempty"`
 	// Placement names the key placement strategy ("modulo" or "jump").
 	Placement string `json:"placement,omitempty"`
-	// Async sizes the client's AsyncEngine pools; nil uses the defaults,
-	// {"disabled": true} forces every layer synchronous.
+	// Async sizes the client's AsyncEngine pools; nil uses the defaults.
 	Async *asyncengine.Config `json:"async,omitempty"`
 	// Resilience attaches a retry/backoff/breaker policy to client RPCs.
 	Resilience *ResilienceConfig `json:"resilience,omitempty"`

@@ -15,10 +15,10 @@ import (
 // plays the role of the hepnos::Prefetcher, shipping selected products
 // with each page so the per-event Load is a local cache hit.
 //
-// When the datastore has an AsyncEngine, cursors double-buffer: while the
-// caller iterates page N, a lookahead task on the engine's prefetch pool
-// fetches page N+1 (keys and, for EventCursor, its products), so crossing
-// a page boundary usually costs no RPC round-trip.
+// Cursors double-buffer: while the caller iterates page N, a lookahead
+// task on the engine's prefetch pool fetches page N+1 (keys and, for
+// EventCursor, its products), so crossing a page boundary usually costs no
+// RPC round-trip.
 //
 // Cursor usage:
 //
@@ -159,15 +159,12 @@ func (c *numberCursor) next() bool {
 		c.degraded += pd.degraded
 		if !c.done {
 			// Double-buffer: fetch the next page while the caller works
-			// through this one. With a nil engine Run executes inline, so
-			// lookahead is only scheduled when an engine exists.
-			if eng := c.ds.engine; eng != nil {
-				from := c.from
-				c.la = asyncengine.Run(eng, c.ctx, asyncengine.PoolPrefetch,
-					func(tctx context.Context) (pageData, error) {
-						return c.fetchPage(tctx, from), nil
-					})
-			}
+			// through this one.
+			from := c.from
+			c.la = asyncengine.Run(c.ds.engine, c.ctx, asyncengine.PoolPrefetch,
+				func(tctx context.Context) (pageData, error) {
+					return c.fetchPage(tctx, from), nil
+				})
 		}
 		if len(c.page) == 0 {
 			return false
@@ -227,9 +224,8 @@ func (c *SubRunCursor) SubRun() *SubRun {
 func (c *SubRunCursor) Err() error { return c.nc.err }
 
 // EventCursor streams a subrun's events, optionally prefetching selected
-// products page by page (the hepnos::Prefetcher pattern). With an engine,
-// the next page's keys and products are fetched while the current page is
-// being consumed.
+// products page by page (the hepnos::Prefetcher pattern). The next page's
+// keys and products are fetched while the current page is being consumed.
 type EventCursor struct {
 	nc       *numberCursor
 	s        *SubRun

@@ -94,8 +94,7 @@ type ClientConfig struct {
 	Resilience *resilience.Policy
 	// Async sizes the client-side AsyncEngine (§II-D) that WriteBatch,
 	// the Prefetcher, EventCursor lookahead, PEP and the data loader all
-	// share. Nil means asyncengine.DefaultConfig(); set Disabled to force
-	// every layer onto its synchronous path.
+	// share. Nil means asyncengine.DefaultConfig().
 	Async *asyncengine.Config
 	// Tracer optionally records trace spans for every RPC the client
 	// issues and every core-layer stage (batch flushes, prefetch fan-out,
@@ -112,9 +111,8 @@ type ClientConfig struct {
 	// package defaults).
 	Health health.Config
 	// HeartbeatInterval is the background liveness probe period (default
-	// 500ms). Probes run only when RF ≥ 2, the async engine is enabled and
-	// DisableHeartbeat is false; circuit-breaker trips feed the tracker
-	// either way.
+	// 500ms). Probes run only when RF ≥ 2 and DisableHeartbeat is false;
+	// circuit-breaker trips feed the tracker either way.
 	HeartbeatInterval time.Duration
 	// DisableHeartbeat turns the background prober loop off; tests drive
 	// ProbeOnce deterministically instead.
@@ -154,7 +152,7 @@ type View struct {
 type DataStore struct {
 	mi     *margo.Instance
 	yc     *yokan.Client
-	engine *asyncengine.Engine // nil when async is disabled
+	engine *asyncengine.Engine
 
 	// view is the committed database view every operation routes by; alt,
 	// when non-nil, is the migration-window alternate (the target view
@@ -252,47 +250,43 @@ func Connect(ctx context.Context, cfg ClientConfig) (*DataStore, error) {
 			addr = fabric.Address(fmt.Sprintf("inproc://hepnos-client-%d", clientSeq.Add(1)))
 		}
 	}
-	// Server-push backpressure lands here: every reply carries the server
-	// gate's pressure level, and the controller mirrors the worst level
-	// seen across servers onto the ingest pool (shrinking WriteBatch's
-	// flush concurrency) until the pressure subsides. The controller is
-	// bound to the engine after it exists; levels observed before that
-	// are kept and applied at bind time.
-	pc := &pressureController{levels: map[fabric.Address]uint8{}}
-	mi, err := margo.Init(margo.Config{
-		Address: addr, NetSim: cfg.NetSim, Resilience: cfg.Resilience,
-		Tracer: cfg.Tracer, Tenant: cfg.Tenant, OnPressure: pc.observe,
-	})
-	if err != nil {
-		return nil, err
-	}
-	placement := cfg.Placement
-	if placement == "" {
-		placement = PlacementModulo
-	}
-	ds := &DataStore{mi: mi, yc: yokan.NewClient(mi), placement: placement, rf: rf, health: tracker}
-	if cfg.EagerLimit > 0 {
-		ds.yc.EagerLimit = cfg.EagerLimit
-	}
-
-	view, err := discoverView(ctx, ds.yc, cfg.Group)
-	if err != nil {
-		mi.Finalize()
-		return nil, err
-	}
-	ds.view.Store(view)
 	acfg := asyncengine.DefaultConfig()
 	if cfg.Async != nil {
 		acfg = *cfg.Async
 	}
 	eng, err := asyncengine.New(acfg)
 	if err != nil {
-		mi.Finalize()
 		return nil, fmt.Errorf("hepnos: connect: async engine: %w", err)
 	}
-	ds.engine = eng
-	ds.pressure = pc
-	pc.bind(eng)
+	// Server-push backpressure lands here: every reply carries the server
+	// gate's pressure level, and the controller mirrors the worst level
+	// seen across servers onto the ingest pool (shrinking WriteBatch's
+	// flush concurrency) until the pressure subsides.
+	pc := &pressureController{levels: map[fabric.Address]uint8{}, engine: eng}
+	mi, err := margo.Init(margo.Config{
+		Address: addr, NetSim: cfg.NetSim, Resilience: cfg.Resilience,
+		Tracer: cfg.Tracer, Tenant: cfg.Tenant, OnPressure: pc.observe,
+	})
+	if err != nil {
+		eng.Shutdown()
+		return nil, err
+	}
+	placement := cfg.Placement
+	if placement == "" {
+		placement = PlacementModulo
+	}
+	ds := &DataStore{mi: mi, yc: yokan.NewClient(mi), engine: eng, pressure: pc, placement: placement, rf: rf, health: tracker}
+	if cfg.EagerLimit > 0 {
+		ds.yc.EagerLimit = cfg.EagerLimit
+	}
+
+	view, err := discoverView(ctx, ds.yc, cfg.Group)
+	if err != nil {
+		eng.Shutdown()
+		mi.Finalize()
+		return nil, err
+	}
+	ds.view.Store(view)
 
 	// One registry for everything this client measures. Collectors close
 	// over live counters, so building it here costs nothing per operation.
@@ -312,9 +306,9 @@ func Connect(ctx context.Context, cfg ClientConfig) (*DataStore, error) {
 	// Heartbeat prober: a tiny control-plane ping per server on an
 	// interval, registered on the fabric endpoint directly so a saturated
 	// provider pool does not read as a dead server. The loop rides a
-	// tracked engine goroutine (shut down with the engine); with async
-	// disabled, or heartbeats off, tests drive ProbeOnce explicitly and
-	// breaker trips remain the only passive feed.
+	// tracked engine goroutine (shut down with the engine); with heartbeats
+	// off, tests drive ProbeOnce explicitly and breaker trips remain the
+	// only passive feed.
 	if rf > 1 {
 		targets := make([]string, len(cfg.Group.Servers))
 		for i, srv := range cfg.Group.Servers {
@@ -324,7 +318,7 @@ func Connect(ctx context.Context, cfg ClientConfig) (*DataStore, error) {
 			return mi.Ping(pctx, fabric.Address(target))
 		}
 		ds.prober = health.NewProber(tracker, probe, targets, health.ProberConfig{Interval: cfg.HeartbeatInterval})
-		if eng != nil && !cfg.DisableHeartbeat {
+		if !cfg.DisableHeartbeat {
 			eng.Go(context.Background(), ds.prober.Run)
 		}
 	}
@@ -425,7 +419,7 @@ func (ds *DataStore) v() *View { return ds.view.Load() }
 type pressureController struct {
 	mu      sync.Mutex
 	levels  map[fabric.Address]uint8
-	engine  *asyncengine.Engine // nil until bind
+	engine  *asyncengine.Engine
 	current uint8
 }
 
@@ -449,20 +443,7 @@ func (pc *pressureController) observe(target fabric.Address, level uint8) {
 		return
 	}
 	pc.current = max
-	if pc.engine != nil {
-		pc.engine.SetPressure(asyncengine.PoolIngest, max)
-	}
-}
-
-// bind attaches the engine once it exists, replaying any level already
-// observed during connect-time discovery RPCs.
-func (pc *pressureController) bind(eng *asyncengine.Engine) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.engine = eng
-	if eng != nil && pc.current != 0 {
-		eng.SetPressure(asyncengine.PoolIngest, pc.current)
-	}
+	pc.engine.SetPressure(asyncengine.PoolIngest, max)
 }
 
 // level returns the throttle currently applied (0–255, 0 = none).
@@ -475,12 +456,7 @@ func (pc *pressureController) level() uint8 {
 // PressureLevel reports the server-push backpressure level currently
 // applied to the client's ingest pool (0 = none, 255 = full stop). It is
 // the max across servers; tests and operators use it to see throttling.
-func (ds *DataStore) PressureLevel() uint8 {
-	if ds.pressure == nil {
-		return 0
-	}
-	return ds.pressure.level()
-}
+func (ds *DataStore) PressureLevel() uint8 { return ds.pressure.level() }
 
 // parseDBName splits "<role>_<index>".
 func parseDBName(name string) (role string, index int, ok bool) {
@@ -511,9 +487,9 @@ func (ds *DataStore) Close() {
 	}
 }
 
-// Engine returns the client's AsyncEngine, or nil when async was disabled.
-// All client-side background work (asynchronous flushes, prefetch fan-out,
-// cursor lookahead, PEP readers, parallel ingest) runs on its pools.
+// Engine returns the client's AsyncEngine. All client-side background work
+// (batch flushes, prefetch fan-out, cursor lookahead, PEP readers, parallel
+// ingest) runs on its pools.
 func (ds *DataStore) Engine() *asyncengine.Engine { return ds.engine }
 
 // NumEventDatabases returns how many event databases the service has; the

@@ -15,7 +15,7 @@ import (
 // hepnos::Prefetcher of §II-D. Requests are grouped by product database
 // (placement guarantees one container's products share a database, §II-C3)
 // and the per-database GetMulti groups are fanned out in parallel on the
-// AsyncEngine's RPC pool; with a disabled engine the groups run serially.
+// AsyncEngine's RPC pool.
 //
 // A failed group is not an error for the caller: those products simply are
 // not in the prefetch cache and Event.Load falls back to an on-demand RPC.
@@ -103,9 +103,7 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 			g.slots = append(g.slots, prefetchSlot{eventIdx: i, labelType: s.key()})
 		}
 	}
-	// Submit every group, then collect: with an engine the groups overlap
-	// on the RPC pool; with a nil engine GetMultiAsync runs inline and
-	// this degenerates to the serial loop.
+	// Submit every group, then collect: the groups overlap on the RPC pool.
 	evs := make([]*asyncengine.Eventual[yokan.GetMultiResult], len(groups))
 	for i, g := range groups {
 		// Small groups go inline; large ones take the bulk (RDMA) path,
@@ -175,8 +173,7 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 	} else {
 		// A cancelled fetch left tasks in flight. Wait them out off the
 		// caller's path, then recycle: the chunks go back to the pools
-		// instead of leaking to the GC. With a nil engine every group ran
-		// inline, so this branch is unreachable there.
+		// instead of leaking to the GC.
 		p.ds.engine.Go(context.Background(), func(context.Context) {
 			for _, ev := range stragglers {
 				_, _ = ev.Wait(context.Background())

@@ -25,20 +25,20 @@ var ErrBatchClosed = xerr.Sentinel("hepnos/batch_closed", xerr.ClassClosed, "hep
 // same database), and sends grouped multi-put RPCs on Flush — §II-D of the
 // paper.
 //
-// A batch from NewWriteBatch flushes synchronously. A batch from
-// NewAsyncWriteBatch flushes through the datastore's AsyncEngine: Flush
-// submits one multi-put per target database to the engine's RPC pool and
-// returns immediately; errors from those background flushes surface on the
-// *next* Store/Flush call (and the failed groups are re-queued, so no
-// update is silently lost), with Close as the final barrier that waits for
-// everything in flight — the destructor semantics of §II-D. Asynchronous
-// flushes run under the context of the call that triggered them, so caller
-// cancellation stops in-flight flushes.
+// Every flush submits one multi-put per target database to the
+// datastore's AsyncEngine RPC pool. A batch from NewWriteBatch then waits
+// for them, so its Flush blocks and returns their errors. A batch from
+// NewAsyncWriteBatch returns immediately; errors from those background
+// flushes surface on the *next* Store/Flush call (and the failed groups
+// are re-queued, so no update is silently lost), with Close as the final
+// barrier that waits for everything in flight — the destructor semantics
+// of §II-D. Flushes run under the context of the call that triggered them,
+// so caller cancellation stops in-flight flushes.
 //
 // A WriteBatch is safe for concurrent use.
 type WriteBatch struct {
-	ds  *DataStore
-	eng *asyncengine.Engine // nil: flushes run inline
+	ds    *DataStore
+	async bool // Flush returns once the groups are submitted
 
 	mu      sync.Mutex
 	pending map[yokan.DBHandle]*dbBatch
@@ -88,7 +88,7 @@ func (b *dbBatch) add(key, val []byte) {
 	}
 }
 
-// inflightFlush pairs an asynchronous flush with the group it carries, so
+// inflightFlush pairs a submitted flush with the group it carries, so
 // the reaper can put the group back on any failure — including tasks the
 // engine canceled before they ever ran.
 type inflightFlush struct {
@@ -97,8 +97,8 @@ type inflightFlush struct {
 	b  *dbBatch
 }
 
-// NewWriteBatch creates an empty batch bound to the datastore, flushing
-// synchronously.
+// NewWriteBatch creates an empty batch bound to the datastore whose Flush
+// blocks until every group lands.
 func (ds *DataStore) NewWriteBatch() *WriteBatch {
 	return &WriteBatch{
 		ds:       ds,
@@ -107,15 +107,14 @@ func (ds *DataStore) NewWriteBatch() *WriteBatch {
 	}
 }
 
-// NewAsyncWriteBatch creates a batch whose flushes run on the datastore's
-// AsyncEngine, auto-flushing every batchSize updates (default 1024). When
-// the engine is disabled the batch degrades to synchronous flushes.
+// NewAsyncWriteBatch creates a batch whose flushes return without waiting
+// for their RPCs, auto-flushing every batchSize updates (default 1024).
 func (ds *DataStore) NewAsyncWriteBatch(batchSize int) *WriteBatch {
 	if batchSize <= 0 {
 		batchSize = 1024
 	}
 	w := ds.NewWriteBatch()
-	w.eng = ds.engine
+	w.async = true
 	w.MaxPending = batchSize
 	return w
 }
@@ -153,7 +152,7 @@ func (w *WriteBatch) addLocked(db yokan.DBHandle, key, val []byte, sole bool) {
 	w.queued++
 }
 
-// reapLocked collects resolved asynchronous flushes, keeping unresolved
+// reapLocked collects resolved flushes, keeping unresolved
 // ones. A failed flush — whether its RPC errored or the engine canceled it
 // before it ran — puts its group back in the pending buffer, so no update
 // is lost; each error is reported exactly once.
@@ -177,7 +176,7 @@ func (w *WriteBatch) reapLocked() error {
 				for i := range f.b.keys {
 					w.addLocked(f.db, f.b.keys[i], f.b.vals[i], f.b.sole)
 				}
-				errs = append(errs, fmt.Errorf("async flush to %s: %w", f.db, err))
+				errs = append(errs, fmt.Errorf("flush to %s: %w", f.db, err))
 			}
 		}
 		// The flush is resolved either way: its segment's bytes are dead
@@ -385,19 +384,24 @@ func (w *WriteBatch) Flush(ctx context.Context) error {
 // flush runs regardless of the closed flag (Close uses it for the final
 // drain).
 func (w *WriteBatch) flush(ctx context.Context) error {
-	// Batched ingest is the QoS class servers shed first under overload;
-	// tagging here covers both the async and sync paths.
+	// Batched ingest is the QoS class servers shed first under overload.
 	ctx = qos.WithClass(ctx, qos.ClassBatch)
-	// The flush span covers group submission (async) or the whole send
-	// (sync); the per-database put_multi client spans parent under it.
+	// The flush span covers group submission, plus the wait for a
+	// synchronous batch; the per-database put_multi client spans parent
+	// under it.
 	sp := w.ds.tracer.Start("core:flush", obs.KindInternal, obs.SpanFromContext(ctx), "")
 	ctx = obs.ContextWithSpan(ctx, sp.Context())
-	if w.eng == nil {
-		err := w.flushSync(ctx)
-		sp.End(err)
-		return err
+	w.submit(ctx)
+	var err error
+	if !w.async {
+		err = w.Wait(ctx)
 	}
-	defer sp.End(nil)
+	sp.End(err)
+	return err
+}
+
+// submit hands every pending group to the engine's RPC pool.
+func (w *WriteBatch) submit(ctx context.Context) {
 	w.mu.Lock()
 	groups := w.pending
 	w.pending = make(map[yokan.DBHandle]*dbBatch)
@@ -408,36 +412,14 @@ func (w *WriteBatch) flush(ctx context.Context) error {
 	// Submit outside the lock: submission blocks under backpressure and
 	// must not stall Pending/reap on other goroutines.
 	for db, b := range groups {
-		ev := w.ds.yc.PutMultiAsync(ctx, w.eng, db, b.keys, b.vals)
+		ev := w.ds.yc.PutMultiAsync(ctx, w.ds.engine, db, b.keys, b.vals)
 		w.mu.Lock()
 		w.inflight = append(w.inflight, inflightFlush{ev: ev, db: db, b: b})
 		w.mu.Unlock()
 	}
-	return nil
 }
 
-func (w *WriteBatch) flushSync(ctx context.Context) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var errs []error
-	for db, b := range w.pending {
-		if err := w.ds.yc.PutMulti(ctx, db, b.keys, b.vals); err != nil {
-			if b.sole || !w.ds.writeTolerable(db, err) {
-				errs = append(errs, fmt.Errorf("flush to %s: %w", db, err))
-				continue
-			}
-			// Tolerated drop: the server is down, the keys have living
-			// replicas, anti-entropy replays them on rejoin.
-			w.ds.replicaDrops.Add(int64(len(b.keys)))
-		}
-		w.queued -= len(b.keys)
-		delete(w.pending, db)
-		b.seg.Release()
-	}
-	return errors.Join(errs...)
-}
-
-// Wait blocks until every asynchronous flush submitted so far completes
+// Wait blocks until every flush submitted so far completes
 // (or ctx is done) and returns their joined errors. Failed groups are back
 // in the pending buffer and can be re-flushed.
 func (w *WriteBatch) Wait(ctx context.Context) error {

@@ -252,8 +252,7 @@ func (l *Loader) IngestFile(ctx context.Context, dataset *core.DataSet, b *Bindi
 	if err != nil {
 		return st, err
 	}
-	// Async batch: flushes overlap with decoding the next events, and
-	// degrade to synchronous flushes when the engine is disabled.
+	// Async batch: flushes overlap with decoding the next events.
 	batch := l.BatchSize
 	if batch <= 0 {
 		batch = 4096
@@ -306,7 +305,6 @@ func (l *Loader) IngestFile(ctx context.Context, dataset *core.DataSet, b *Bindi
 // IngestFiles ingests many files concurrently — one engine task per file
 // on the AsyncEngine's ingest pool, at most Parallelism in flight — and
 // accumulates statistics. The first error cancels the remaining files.
-// With a disabled engine the files are ingested sequentially.
 func (l *Loader) IngestFiles(ctx context.Context, dataset *core.DataSet, b *Binding, paths []string) (IngestStats, error) {
 	workers := l.Parallelism
 	if workers <= 0 {

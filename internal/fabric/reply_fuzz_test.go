@@ -10,18 +10,6 @@ import (
 	"github.com/hep-on-hpc/hepnos-go/internal/xerr"
 )
 
-// encodeLegacyReply hand-builds a pre-QoS 'R' reply body — no pressure
-// byte. Old endpoints emit it and parseReply must keep accepting it
-// forever, yielding pressure 0.
-func encodeLegacyReply(reqID uint64, status byte, payload []byte) []byte {
-	b := []byte{frameReply}
-	var u8 [8]byte
-	binary.LittleEndian.PutUint64(u8[:], reqID)
-	b = append(b, u8[:]...)
-	b = append(b, status)
-	return append(b, payload...)
-}
-
 // encodeQoSReply builds a modern 'S' body, the shape writeReply emits.
 func encodeQoSReply(reqID uint64, status, pressure byte, payload []byte) []byte {
 	b := []byte{frameReplyQoS}
@@ -32,32 +20,34 @@ func encodeQoSReply(reqID uint64, status, pressure byte, payload []byte) []byte 
 	return append(b, payload...)
 }
 
-// Golden reply frames: both wire generations, every status code a peer can
-// emit. Byte layouts are pinned literally — if either format shifts, a
-// mixed-version deployment breaks, so these arrays must never change.
+// Golden reply frames: every status code a peer can emit, plus the retired
+// pre-QoS 'R' layout (no pressure byte), which must be refused rather than
+// misparsed. Byte layouts are pinned literally, so these arrays must never
+// change.
 func TestParseReplyGolden(t *testing.T) {
 	cases := []struct {
 		name     string
 		body     []byte
+		refused  bool
 		reqID    uint64
 		status   byte
 		pressure byte
 		payload  []byte
 	}{
 		{
-			name:  "legacy-ok",
-			body:  []byte{'R', 7, 0, 0, 0, 0, 0, 0, 0, statusOK, 'h', 'i'},
-			reqID: 7, status: statusOK, pressure: 0, payload: []byte("hi"),
+			name:    "legacy-ok",
+			body:    []byte{'R', 7, 0, 0, 0, 0, 0, 0, 0, statusOK, 'h', 'i'},
+			refused: true,
 		},
 		{
-			name:  "legacy-err-string",
-			body:  []byte{'R', 1, 0, 0, 0, 0, 0, 0, 0, statusErr, 'b', 'o', 'o', 'm'},
-			reqID: 1, status: statusErr, pressure: 0, payload: []byte("boom"),
+			name:    "legacy-err-string",
+			body:    []byte{'R', 1, 0, 0, 0, 0, 0, 0, 0, statusErr, 'b', 'o', 'o', 'm'},
+			refused: true,
 		},
 		{
-			name:  "legacy-fault",
-			body:  []byte{'R', 2, 0, 0, 0, 0, 0, 0, 0, statusFault},
-			reqID: 2, status: statusFault, pressure: 0, payload: []byte{},
+			name:    "legacy-fault",
+			body:    []byte{'R', 2, 0, 0, 0, 0, 0, 0, 0, statusFault},
+			refused: true,
 		},
 		{
 			name:  "qos-ok-with-pressure",
@@ -80,6 +70,12 @@ func TestParseReplyGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reqID, status, pressure, payload, err := parseReply(tc.body)
+			if tc.refused {
+				if err == nil {
+					t.Fatalf("retired frame accepted: id=%d status=%d", reqID, status)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("golden frame rejected: %v", err)
 			}
@@ -123,27 +119,20 @@ func TestParseReplyGoldenPayloadsDecode(t *testing.T) {
 	}
 }
 
-// FuzzReplyRoundTrip: any envelope encoded in either generation must come
-// back identical from parseReply.
+// FuzzReplyRoundTrip: any encoded envelope must come back identical from
+// parseReply.
 func FuzzReplyRoundTrip(f *testing.F) {
-	f.Add(uint64(1), byte(statusOK), byte(0), []byte("resp"), true)
-	f.Add(uint64(0), byte(statusErr), byte(255), []byte(nil), false)
-	f.Add(^uint64(0), byte(statusTyped), byte(128), bytes.Repeat([]byte{0xee}, 300), true)
-	f.Add(uint64(42), byte(99), byte(1), []byte{0, 'R', 0}, false)
-	f.Fuzz(func(t *testing.T, reqID uint64, status, pressure byte, payload []byte, legacy bool) {
-		var body []byte
-		wantPressure := pressure
-		if legacy {
-			body = encodeLegacyReply(reqID, status, payload)
-			wantPressure = 0
-		} else {
-			body = encodeQoSReply(reqID, status, pressure, payload)
-		}
+	f.Add(uint64(1), byte(statusOK), byte(0), []byte("resp"))
+	f.Add(uint64(0), byte(statusErr), byte(255), []byte(nil))
+	f.Add(^uint64(0), byte(statusTyped), byte(128), bytes.Repeat([]byte{0xee}, 300))
+	f.Add(uint64(42), byte(99), byte(1), []byte{0, 'R', 0})
+	f.Fuzz(func(t *testing.T, reqID uint64, status, pressure byte, payload []byte) {
+		body := encodeQoSReply(reqID, status, pressure, payload)
 		gotID, gotStatus, gotPressure, gotPayload, err := parseReply(body)
 		if err != nil {
 			t.Fatalf("parse of a self-encoded frame failed: %v", err)
 		}
-		if gotID != reqID || gotStatus != status || gotPressure != wantPressure {
+		if gotID != reqID || gotStatus != status || gotPressure != pressure {
 			t.Fatalf("envelope mismatch: id=%d status=%d pressure=%d", gotID, gotStatus, gotPressure)
 		}
 		if !bytes.Equal(gotPayload, payload) {
@@ -156,9 +145,9 @@ func FuzzReplyRoundTrip(f *testing.F) {
 // consistent parse — never a panic or an out-of-bounds payload.
 func FuzzParseReplyNoPanic(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{frameReply})
+	f.Add([]byte{'R'})
 	f.Add([]byte{frameReplyQoS, 1, 2, 3})
-	f.Add(encodeLegacyReply(5, statusOK, []byte("x")))
+	f.Add([]byte{'R', 5, 0, 0, 0, 0, 0, 0, 0, statusOK, 'x'}) // retired pre-QoS layout
 	f.Add(encodeQoSReply(6, statusShed, 9, []byte("y")))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		_, _, _, payload, err := parseReply(body)

@@ -19,19 +19,15 @@ import (
 // Wire format (all integers little-endian):
 //
 //	frame   = u32 length, body
-//	request = 'Q', u64 reqID, u16 rpcLen, rpc, u16 fromLen, from,
-//	          u64 trace, u64 span, payload                      (legacy)
-//	        | 'T', u64 reqID, u16 rpcLen, rpc, u16 fromLen, from,
+//	request = 'T', u64 reqID, u16 rpcLen, rpc, u16 fromLen, from,
 //	          u64 trace, u64 span, u8 class, u16 tenantLen, tenant,
-//	          payload                                            (QoS)
-//	reply   = 'R', u64 reqID, u8 status, payload                 (legacy)
-//	        | 'S', u64 reqID, u8 status, u8 pressure, payload    (QoS)
+//	          payload
+//	reply   = 'S', u64 reqID, u8 status, u8 pressure, payload
 //
 // trace/span carry the caller's span context (zero when untraced);
 // class/tenant carry the caller's QoS identity, and pressure carries the
 // server's backpressure level (0 relaxed .. 255 saturated) back on every
-// reply. Current endpoints always emit 'T'/'S'; 'Q'/'R' stay parseable so
-// pre-QoS peers interoperate (zero identity, zero pressure).
+// reply. Any other frame kind is refused.
 //
 // status 0 is success; 1 is an application error whose message follows
 // as a flat string (the legacy path, kept for handlers whose errors carry
@@ -42,8 +38,6 @@ import (
 // class, sentinel code, message and fields — so a server-side not_found
 // arrives at the client as the same typed error it left as.
 const (
-	frameRequest    = 'Q'
-	frameReply      = 'R'
 	frameRequestQoS = 'T'
 	frameReplyQoS   = 'S'
 
@@ -129,7 +123,7 @@ func (t *tcpTransport) connLoop(c *tcpConn) {
 			return
 		}
 		switch body[0] {
-		case frameRequest, frameRequestQoS:
+		case frameRequestQoS:
 			// The payload is a borrowed view into the pooled frame buffer —
 			// no clone. The goroutine owns the frame: serve (and therefore
 			// the handler) completes before the reply is written, after
@@ -170,7 +164,7 @@ func (t *tcpTransport) connLoop(c *tcpConn) {
 					c.writeReply(reqID, statusOK, pressure, resp)
 				}
 			}()
-		case frameReply, frameReplyQoS:
+		case frameReplyQoS:
 			reqID, status, pressure, payload, perr := parseReply(body)
 			if perr != nil {
 				buf.Release()
@@ -458,30 +452,17 @@ func readFrame(r io.Reader) (*wire.Buf, error) {
 	return buf, nil
 }
 
-// parseReply decodes a reply frame body — legacy 'R' (no pressure byte)
-// or QoS 'S'. Pure (no I/O, no pooling), so the golden/fuzz suite pins
-// both formats directly; the returned payload is a view into body.
+// parseReply decodes an 'S' reply frame body. Pure (no I/O, no pooling),
+// so the golden/fuzz suite pins the format directly; the returned payload
+// is a view into body.
 func parseReply(body []byte) (reqID uint64, status, pressure byte, payload []byte, err error) {
-	fail := func(msg string) (uint64, byte, byte, []byte, error) {
-		return 0, 0, 0, nil, errors.New("fabric: " + msg)
+	if len(body) == 0 || body[0] != frameReplyQoS {
+		return 0, 0, 0, nil, errors.New("fabric: not a reply frame")
 	}
-	if len(body) == 0 {
-		return fail("empty reply frame")
+	if len(body) < 11 {
+		return 0, 0, 0, nil, errors.New("fabric: short reply frame")
 	}
-	switch body[0] {
-	case frameReply:
-		if len(body) < 10 {
-			return fail("short reply frame")
-		}
-		return binary.LittleEndian.Uint64(body[1:9]), body[9], 0, body[10:], nil
-	case frameReplyQoS:
-		if len(body) < 11 {
-			return fail("short reply frame")
-		}
-		return binary.LittleEndian.Uint64(body[1:9]), body[9], body[10], body[11:], nil
-	default:
-		return fail("not a reply frame")
-	}
+	return binary.LittleEndian.Uint64(body[1:9]), body[9], body[10], body[11:], nil
 }
 
 func parseRequest(body []byte) (reqID uint64, rpc string, from Address, sc obs.SpanContext, ti qos.Identity, payload []byte, err error) {
@@ -491,8 +472,7 @@ func parseRequest(body []byte) (reqID uint64, rpc string, from Address, sc obs.S
 	if len(body) < 11 {
 		return fail("short request frame")
 	}
-	kind := body[0]
-	if kind != frameRequest && kind != frameRequestQoS {
+	if body[0] != frameRequestQoS {
 		return fail("not a request frame")
 	}
 	reqID = binary.LittleEndian.Uint64(body[1:9])
@@ -511,20 +491,17 @@ func parseRequest(body []byte) (reqID uint64, rpc string, from Address, sc obs.S
 	sc.Trace = binary.LittleEndian.Uint64(body[off : off+8])
 	sc.Span = binary.LittleEndian.Uint64(body[off+8 : off+16])
 	off += 16
-	if kind == frameRequestQoS {
-		// The QoS identity sits between the span context and the payload;
-		// legacy 'Q' frames simply lack it (zero identity).
-		if len(body) < off+3 {
-			return fail("truncated qos identity")
-		}
-		ti.Class = qos.Class(body[off])
-		tenantLen := int(binary.LittleEndian.Uint16(body[off+1 : off+3]))
-		if len(body) < off+3+tenantLen {
-			return fail("truncated tenant name")
-		}
-		ti.Tenant = string(body[off+3 : off+3+tenantLen])
-		off += 3 + tenantLen
+	// The QoS identity sits between the span context and the payload.
+	if len(body) < off+3 {
+		return fail("truncated qos identity")
 	}
+	ti.Class = qos.Class(body[off])
+	tenantLen := int(binary.LittleEndian.Uint16(body[off+1 : off+3]))
+	if len(body) < off+3+tenantLen {
+		return fail("truncated tenant name")
+	}
+	ti.Tenant = string(body[off+3 : off+3+tenantLen])
+	off += 3 + tenantLen
 	// The payload is a borrowed view into the frame body, not a clone; the
 	// frame's owner keeps it alive until the handler has replied.
 	payload = body[off:]

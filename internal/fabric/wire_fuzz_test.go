@@ -2,34 +2,20 @@ package fabric
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 	"github.com/hep-on-hpc/hepnos-go/internal/qos"
 )
 
-// encodeLegacyRequest hand-builds a pre-QoS 'Q' frame body — the format
-// old endpoints emit: no class byte, no tenant. parseRequest must keep
-// accepting it forever (mixed-version deployments), yielding the zero
-// identity.
+// encodeLegacyRequest builds a retired pre-QoS 'Q' frame body: a 'T'
+// header without its trailing zero identity (class byte and empty tenant
+// length). parseRequest must refuse it.
 func encodeLegacyRequest(reqID uint64, rpc string, from Address, sc obs.SpanContext, payload []byte) []byte {
-	b := []byte{frameRequest}
-	var u8 [8]byte
-	binary.LittleEndian.PutUint64(u8[:], reqID)
-	b = append(b, u8[:]...)
-	var u2 [2]byte
-	binary.LittleEndian.PutUint16(u2[:], uint16(len(rpc)))
-	b = append(b, u2[:]...)
-	b = append(b, rpc...)
-	binary.LittleEndian.PutUint16(u2[:], uint16(len(from)))
-	b = append(b, u2[:]...)
-	b = append(b, from...)
-	binary.LittleEndian.PutUint64(u8[:], sc.Trace)
-	b = append(b, u8[:]...)
-	binary.LittleEndian.PutUint64(u8[:], sc.Span)
-	b = append(b, u8[:]...)
-	return append(b, payload...)
+	hdr := appendRequestHeader(nil, reqID, rpc, from, sc, qos.Identity{})
+	hdr = hdr[:len(hdr)-3]
+	hdr[0] = 'Q'
+	return append(hdr, payload...)
 }
 
 // FuzzRequestHeaderRoundTrip: whatever identity/span/rpc combination goes
@@ -75,7 +61,7 @@ func FuzzRequestHeaderRoundTrip(f *testing.F) {
 // an error or a consistent parse — never panic, never read out of bounds.
 func FuzzParseRequestNoPanic(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{frameRequest})
+	f.Add([]byte{'Q'})
 	f.Add(encodeLegacyRequest(9, "put", "inproc://c", obs.SpanContext{Trace: 1, Span: 2}, []byte("x")))
 	f.Add(appendRequestHeader(nil, 3, "get", "tcp://h:1", obs.SpanContext{}, qos.Identity{Tenant: "t", Class: qos.ClassBatch}))
 	// Truncation seeds: a QoS frame cut inside each variable-length field.
@@ -97,9 +83,9 @@ func FuzzParseRequestNoPanic(f *testing.F) {
 	})
 }
 
-// Golden legacy frames: a tenant-less 'Q' body from a pre-QoS endpoint
-// parses with the zero identity and an intact envelope. This is the
-// compatibility contract with already-deployed peers.
+// Golden legacy frames: a tenant-less 'Q' body from a pre-QoS endpoint is
+// refused, never parsed as some other envelope. No such peer exists; a
+// connection speaking the retired format fails loudly.
 func TestParseRequestLegacyGolden(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -116,18 +102,8 @@ func TestParseRequestLegacyGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			body := encodeLegacyRequest(tc.reqID, tc.rpc, tc.from, tc.sc, tc.payload)
-			reqID, rpc, from, sc, ti, payload, err := parseRequest(body)
-			if err != nil {
-				t.Fatalf("legacy frame rejected: %v", err)
-			}
-			if reqID != tc.reqID || rpc != tc.rpc || from != tc.from || sc != tc.sc {
-				t.Fatalf("legacy envelope mismatch: id=%d rpc=%q from=%q sc=%+v", reqID, rpc, from, sc)
-			}
-			if ti != (qos.Identity{}) {
-				t.Fatalf("legacy frame produced a non-zero identity: %+v", ti)
-			}
-			if !bytes.Equal(payload, tc.payload) {
-				t.Fatalf("legacy payload mismatch")
+			if reqID, rpc, _, _, _, _, err := parseRequest(body); err == nil {
+				t.Fatalf("legacy frame accepted: id=%d rpc=%q", reqID, rpc)
 			}
 		})
 	}

@@ -8,14 +8,10 @@ import (
 
 // Async operation surface: the §II-D pattern where client batch operations
 // are submitted to the AsyncEngine's RPC pool and hand back an eventual
-// instead of blocking. The resilience policy attached to the client applies
-// unchanged — the pool task goes through the same call path, so an injected
-// fault on an async flush retries under the same policy and reports its
-// final error through the eventual.
-//
-// With a nil engine both calls degrade to their synchronous counterparts
-// and return an already-resolved eventual, so callers need no fallback
-// branches.
+// instead of blocking. The resilience policy attached to the client's
+// endpoint applies unchanged — the pool task goes through the same call
+// path, so an injected fault on an async flush retries under the same
+// policy and reports its final error through the eventual.
 
 // GetMultiResult carries a GetMulti batch result through an eventual. Vals
 // and Found are parallel to the submitted keys.

@@ -4,13 +4,10 @@
 // backed by a pluggable backend, and serves put/get/exists/erase/list RPCs
 // over the fabric, using bulk transfer for large values and batches.
 //
-// Three backends are provided, covering the paper's evaluated
-// configurations plus a second in-memory structure:
+// Two backends are provided, the paper's two evaluated configurations:
 //
 //   - "map": an in-memory ordered store (the paper's std::map backend),
 //     implemented with a skip list.
-//   - "btree": a second in-memory ordered store, a classic B-tree (the
-//     role BerkeleyDB's B-tree plays among Yokan's disk backends).
 //   - "lsm": a persistent log-structured merge tree standing in for
 //     RocksDB: write-ahead log, skip-list memtable, sorted-block SSTables
 //     with bloom filters, and size-tiered compaction.
@@ -108,8 +105,6 @@ func OpenBackendEnv(cfg DBConfig, env *StorageEnv) (Backend, error) {
 	switch cfg.Type {
 	case "", "map":
 		return newMapDB(cfg.Name), nil
-	case "btree":
-		return newBTreeDB(cfg.Name), nil
 	case "lsm":
 		if cfg.Path == "" {
 			return nil, fmt.Errorf("yokan: lsm database %q needs a path", cfg.Name)

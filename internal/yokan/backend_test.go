@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,7 +17,6 @@ import (
 func openTestBackends(t *testing.T) map[string]Backend {
 	t.Helper()
 	m := newMapDB("testmap")
-	bt := newBTreeDB("testbtree")
 	l, err := openLSM("testlsm", t.TempDir(), LSMOptions{
 		MemtableBytes: 16 << 10, // small so tests exercise flush/compact
 		CompactAt:     3,
@@ -26,10 +26,9 @@ func openTestBackends(t *testing.T) map[string]Backend {
 	}
 	t.Cleanup(func() {
 		m.Close()
-		bt.Close()
 		l.Close()
 	})
-	return map[string]Backend{"map": m, "btree": bt, "lsm": l}
+	return map[string]Backend{"map": m, "lsm": l}
 }
 
 func TestBackendBasicOps(t *testing.T) {
@@ -265,8 +264,13 @@ func TestOpenBackendConfig(t *testing.T) {
 	if _, err := OpenBackend(DBConfig{Name: ""}); err == nil {
 		t.Error("empty name should fail")
 	}
-	if _, err := OpenBackend(DBConfig{Name: "x", Type: "rocksdb"}); err == nil {
-		t.Error("unknown type should fail")
+	// "btree" was a backend once; a config that still names it must fail
+	// at open, not fall back to something else.
+	for _, typ := range []string{"rocksdb", "btree"} {
+		_, err := OpenBackend(DBConfig{Name: "x", Type: typ})
+		if err == nil || !strings.Contains(err.Error(), "unknown backend type") {
+			t.Errorf("type %q: err = %v, want unknown backend type", typ, err)
+		}
 	}
 	if _, err := OpenBackend(DBConfig{Name: "x", Type: "lsm"}); err == nil {
 		t.Error("lsm without path should fail")

@@ -2,13 +2,11 @@ package yokan
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
 	"github.com/hep-on-hpc/hepnos-go/internal/margo"
-	"github.com/hep-on-hpc/hepnos-go/internal/resilience"
 	"github.com/hep-on-hpc/hepnos-go/internal/serde"
 	"github.com/hep-on-hpc/hepnos-go/internal/wire"
 )
@@ -31,86 +29,30 @@ func (h DBHandle) String() string {
 	return fmt.Sprintf("%s/%d/%s", h.Addr, h.Provider, h.Name)
 }
 
-// Client issues Yokan operations from a margo instance.
+// Client issues Yokan operations from a margo instance. It does not retry:
+// the resilience policy attached to the margo instance (margo.Config
+// Resilience) retries transport failures inside every call.
 type Client struct {
 	mi *margo.Instance
 	// EagerLimit is the inline-payload threshold for batch ops.
 	EagerLimit int
-	// Retries is how many times transport-level failures are retried
-	// (application errors returned by the server are never retried).
-	// Zero disables retrying. Retries and RetryBackoff are shorthand for
-	// a basic resilience.Policy; set Policy for the full feature set.
-	Retries int
-	// RetryBackoff is the initial backoff, doubled per attempt up to the
-	// resilience package's default cap.
-	RetryBackoff time.Duration
-	// Policy, when non-nil, overrides Retries/RetryBackoff with a full
-	// resilience policy (budget, breakers, per-try deadlines, jitter).
-	// Share one policy across clients so its budget sees all traffic.
-	Policy *resilience.Policy
-
-	polMu      sync.Mutex
-	pol        *resilience.Policy
-	polRetries int
-	polBackoff time.Duration
 }
 
 // NewClient wraps a margo instance.
 func NewClient(mi *margo.Instance) *Client {
-	return &Client{mi: mi, EagerLimit: DefaultEagerLimit, RetryBackoff: time.Millisecond}
+	return &Client{mi: mi, EagerLimit: DefaultEagerLimit}
 }
 
-// policy resolves the effective resilience policy: the explicit Policy,
-// or one synthesized (and cached) from the legacy Retries/RetryBackoff
-// knobs, or nil when retrying is disabled.
-func (c *Client) policy() *resilience.Policy {
-	if c.Policy != nil {
-		return c.Policy
-	}
-	if c.Retries <= 0 {
-		return nil
-	}
-	c.polMu.Lock()
-	defer c.polMu.Unlock()
-	if c.pol == nil || c.polRetries != c.Retries || c.polBackoff != c.RetryBackoff {
-		backoff := c.RetryBackoff
-		if backoff <= 0 {
-			backoff = time.Millisecond
-		}
-		c.pol = &resilience.Policy{
-			MaxRetries:     c.Retries,
-			InitialBackoff: backoff,
-			Retryable:      fabric.RetryableError,
-		}
-		c.polRetries, c.polBackoff = c.Retries, c.RetryBackoff
-	}
-	return c.pol
-}
-
-// call forwards one RPC under the client's resilience policy. Only
-// transport failures (unreachable target, injected drops) are retried: a
-// *fabric.RemoteError means the server executed the handler, and blind
-// re-execution is not generally safe.
+// call forwards one RPC to db's provider.
 func (c *Client) call(ctx context.Context, db DBHandle, rpc string, payload []byte) ([]byte, error) {
-	return resilience.Do(ctx, c.policy(), string(db.Addr), func(ctx context.Context) ([]byte, error) {
-		return c.mi.Forward(ctx, db.Addr, ServiceName, db.Provider, rpc, payload)
-	})
+	return c.mi.Forward(ctx, db.Addr, ServiceName, db.Provider, rpc, payload)
 }
 
 // callBorrow is call with explicit response-buffer ownership (see
 // fabric.Endpoint.CallBorrow): the response may be a borrowed view into a
 // pooled transport buffer and done, when non-nil, recycles it.
 func (c *Client) callBorrow(ctx context.Context, db DBHandle, rpc string, payload []byte) ([]byte, func(), error) {
-	var done func()
-	out, err := resilience.Do(ctx, c.policy(), string(db.Addr), func(ctx context.Context) ([]byte, error) {
-		r, d, err := c.mi.ForwardBorrow(ctx, db.Addr, ServiceName, db.Provider, rpc, payload)
-		done = d
-		return r, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, done, nil
+	return c.mi.ForwardBorrow(ctx, db.Addr, ServiceName, db.Provider, rpc, payload)
 }
 
 // forward runs one request/response RPC on the pooled wire path: the
@@ -259,24 +201,30 @@ func (c *Client) GetMulti(ctx context.Context, db DBHandle, keys [][]byte, bulk 
 		return nil, nil, err
 	}
 	data, err := c.mi.Endpoint().PullBulkFrom(ctx, db.Addr, h)
+	// Release the server-side region on every path — a failed or cancelled
+	// pull included, so the free ignores ctx's cancellation — or the server
+	// holds the whole response until its sweep. A failed free must be
+	// visible, never swallowed.
+	ferr := c.bulkFree(context.WithoutCancel(ctx), db, bresp.Handle)
 	if err != nil {
-		return nil, nil, err
-	}
-	// Release the server-side region regardless of decode success. A
-	// failure here must be visible — a swallowed error would silently leak
-	// the exposed region on the server.
-	freq, merr := serde.Marshal(bulkFreeReq{Handle: bresp.Handle})
-	if merr != nil {
-		err = fmt.Errorf("yokan: encode bulk_free: %w", merr)
-	} else if _, ferr := c.call(ctx, db, "bulk_free", freq); ferr != nil {
-		err = ferr
+		return nil, nil, errors.Join(err, ferr)
 	}
 	// The pulled data is GC-owned, so the borrowed views alias it safely.
 	var resp getMultiResp
 	if derr := serde.UnmarshalBorrow(data, &resp); derr != nil {
-		return nil, nil, fmt.Errorf("yokan: decode bulk get_multi: %w", derr)
+		return nil, nil, errors.Join(fmt.Errorf("yokan: decode bulk get_multi: %w", derr), ferr)
 	}
-	return resp.Vals, resp.Found, err
+	return resp.Vals, resp.Found, ferr
+}
+
+// bulkFree asks db's provider to drop the exposed region behind handle.
+func (c *Client) bulkFree(ctx context.Context, db DBHandle, handle []byte) error {
+	freq, err := serde.Marshal(bulkFreeReq{Handle: handle})
+	if err != nil {
+		return fmt.Errorf("yokan: encode bulk_free: %w", err)
+	}
+	_, err = c.call(ctx, db, "bulk_free", freq)
+	return err
 }
 
 // Exists checks a batch of keys.

@@ -63,9 +63,7 @@ func TestLSMCrashPointRecovery(t *testing.T) {
 		}
 	}
 	db.Close()
-	// The whole workload fits one WAL segment (nothing flushed). Replaying
-	// a truncated copy through the legacy wal.log name also keeps the
-	// pre-segmentation compatibility path covered.
+	// The whole workload fits one WAL segment (nothing flushed).
 	full, err := os.ReadFile(filepath.Join(master, walSegmentName(0)))
 	if err != nil {
 		t.Fatal(err)
@@ -78,12 +76,13 @@ func TestLSMCrashPointRecovery(t *testing.T) {
 	}
 	for _, cut := range cuts {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "wal.log"), full[:cut], 0o644); err != nil {
+		seg := filepath.Join(dir, walSegmentName(0))
+		if err := os.WriteFile(seg, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		// Count intact records the recovery will see.
 		recovered := 0
-		if err := replayWAL(filepath.Join(dir, "wal.log"), func(byte, []byte, []byte) error {
+		if err := replayWAL(seg, func(byte, []byte, []byte) error {
 			recovered++
 			return nil
 		}); err != nil {

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
 	"github.com/hep-on-hpc/hepnos-go/internal/margo"
+	"github.com/hep-on-hpc/hepnos-go/internal/resilience"
 	"github.com/hep-on-hpc/hepnos-go/internal/serde"
 )
 
@@ -132,9 +134,69 @@ func TestBulkPutBadHandleLeavesNoResidue(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyHealsTransientFaults configures retries and injects two
-// transient drops: the third attempt succeeds and the caller never sees an
-// error. Application (remote) errors are not retried.
+// TestGetMultiFreesRegionWhenPullFails fails the client's pull of a bulk
+// get_multi response — dropped on the wire, or abandoned by a caller that
+// cancelled mid-transfer — and checks the server's exposed region is freed
+// at once instead of held until the server's sweep.
+func TestGetMultiFreesRegionWhenPullFails(t *testing.T) {
+	server, err := margo.Init(margo.Config{
+		Address:     fabric.Address(fmt.Sprintf("inproc://pullfail-srv-%d", svcSeq.Add(1))),
+		RPCXStreams: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Finalize()
+	if _, err := NewProvider(server, 0, nil, []DBConfig{{Name: "db"}}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("bulk pull dropped")
+	for _, tc := range []struct {
+		name string
+		// onPull runs when the client starts the pull and returns the
+		// fault that ends it.
+		onPull func(cancel context.CancelFunc) error
+		want   error
+	}{
+		{"dropped", func(context.CancelFunc) error { return boom }, boom},
+		{"cancelled", func(cancel context.CancelFunc) error { cancel(); return context.Canceled }, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sim := &fabric.NetSim{Fault: func(_ fabric.Address, rpc string, _ int, _ string) error {
+				if rpc == "__fabric_bulk_pull__" {
+					return tc.onPull(cancel)
+				}
+				return nil
+			}}
+			cliMI, err := margo.Init(margo.Config{
+				Address: fabric.Address(fmt.Sprintf("inproc://pullfail-cli-%d", svcSeq.Add(1))),
+				NetSim:  sim,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cliMI.Finalize()
+			cli := NewClient(cliMI)
+			db := DBHandle{Addr: server.Addr(), Provider: 0, Name: "db"}
+			if err := cli.Put(ctx, db, []byte("k"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := cli.GetMulti(ctx, db, [][]byte{[]byte("k")}, true); !errors.Is(err, tc.want) {
+				t.Fatalf("GetMulti = %v, want %v", err, tc.want)
+			}
+			if n := server.Endpoint().SweepBulk(0); n != 0 {
+				t.Fatalf("%d bulk region(s) left exposed on the server after a failed pull", n)
+			}
+		})
+	}
+}
+
+// TestRetryPolicyHealsTransientFaults attaches a retry policy to the
+// client's endpoint and injects two transient drops: the third attempt
+// succeeds and the caller never sees an error. Application (remote) errors
+// are not retried.
 func TestRetryPolicyHealsTransientFaults(t *testing.T) {
 	server, err := margo.Init(margo.Config{
 		Address:     fabric.Address(fmt.Sprintf("inproc://retry-srv-%d", svcSeq.Add(1))),
@@ -148,8 +210,9 @@ func TestRetryPolicyHealsTransientFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const nDrops = 2
 	var drops atomic.Int32
-	drops.Store(2)
+	drops.Store(nDrops)
 	boom := errors.New("transient drop")
 	sim := &fabric.NetSim{Fault: func(fabric.Address, string, int, string) error {
 		if drops.Add(-1) >= 0 {
@@ -157,21 +220,30 @@ func TestRetryPolicyHealsTransientFaults(t *testing.T) {
 		}
 		return nil
 	}}
+	pol := &resilience.Policy{MaxRetries: 3, InitialBackoff: time.Millisecond}
 	cliMI, err := margo.Init(margo.Config{
-		Address: fabric.Address(fmt.Sprintf("inproc://retry-cli-%d", svcSeq.Add(1))),
-		NetSim:  sim,
+		Address:    fabric.Address(fmt.Sprintf("inproc://retry-cli-%d", svcSeq.Add(1))),
+		NetSim:     sim,
+		Resilience: pol,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cliMI.Finalize()
 	cli := NewClient(cliMI)
-	cli.Retries = 3
 	db := DBHandle{Addr: server.Addr(), Provider: 0, Name: "db"}
 	ctx := context.Background()
 
 	if err := cli.Put(ctx, db, []byte("k"), []byte("v")); err != nil {
 		t.Fatalf("retry should have absorbed transient drops: %v", err)
+	}
+	// One retry per drop: attempts == drops + 1, and the one attempt that
+	// got through is the only call the server served.
+	if n := pol.Counters().Retries; n != nDrops {
+		t.Fatalf("retries = %d, want %d (one per drop)", n, nDrops)
+	}
+	if served := server.Endpoint().Stats().CallsServed; served != 1 {
+		t.Fatalf("server served %d calls for one put, want 1", served)
 	}
 	got, err := cli.Get(ctx, db, []byte("k"))
 	if err != nil || string(got) != "v" {
@@ -196,18 +268,22 @@ func TestRetryPolicyHealsTransientFaults(t *testing.T) {
 func TestRetryExhaustionReturnsLastError(t *testing.T) {
 	boom := errors.New("permanent drop")
 	sim := &fabric.NetSim{Fault: func(fabric.Address, string, int, string) error { return boom }}
+	pol := &resilience.Policy{MaxRetries: 2, InitialBackoff: time.Millisecond}
 	cliMI, err := margo.Init(margo.Config{
-		Address: fabric.Address(fmt.Sprintf("inproc://retryx-cli-%d", svcSeq.Add(1))),
-		NetSim:  sim,
+		Address:    fabric.Address(fmt.Sprintf("inproc://retryx-cli-%d", svcSeq.Add(1))),
+		NetSim:     sim,
+		Resilience: pol,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cliMI.Finalize()
 	cli := NewClient(cliMI)
-	cli.Retries = 2
 	db := DBHandle{Addr: "inproc://nowhere", Provider: 0, Name: "db"}
 	if err := cli.Put(context.Background(), db, []byte("k"), nil); !errors.Is(err, boom) {
 		t.Fatalf("want the injected error after exhaustion, got %v", err)
+	}
+	if n := pol.Counters().Retries; n != 2 {
+		t.Fatalf("retries = %d, want the policy's 2", n)
 	}
 }

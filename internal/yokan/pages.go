@@ -168,10 +168,12 @@ func DecodeFieldPage(v []byte) (kind serde.ColKind, rows int, chunk []byte, err 
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	if r > uint64(len(v)) {
-		return 0, 0, nil, fmt.Errorf("yokan: field page claims %d rows in %d bytes", r, len(v))
+	chunk = v[off:]
+	// Every column kind encodes a row in at least one byte.
+	if r > uint64(len(chunk)) {
+		return 0, 0, nil, fmt.Errorf("yokan: field page claims %d rows in a %d-byte chunk", r, len(chunk))
 	}
-	return kind, int(r), v[off:], nil
+	return kind, int(r), chunk, nil
 }
 
 func appendPageUvarint(dst []byte, v uint64) []byte {

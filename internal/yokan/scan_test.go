@@ -260,7 +260,7 @@ func TestPageCodecRoundTrip(t *testing.T) {
 		t.Error("short key split")
 	}
 
-	chunk := []byte{1, 2, 3}
+	chunk := make([]byte, 5*4) // five float32 rows
 	fp := AppendFieldPage(nil, serde.ColFloat32, 5, chunk)
 	kind, rows, got, err := DecodeFieldPage(fp)
 	if err != nil || kind != serde.ColFloat32 || rows != 5 || string(got) != string(chunk) {

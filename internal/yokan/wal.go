@@ -27,8 +27,7 @@ import (
 // segment, rotated when the memtable is swapped to the immutable flush
 // queue. A segment is deleted only after the memtable it backs is durably
 // flushed to an SSTable and committed to the manifest, so no acknowledged
-// write ever has zero durable homes. (The pre-segmentation single "wal.log"
-// is still replayed on open for old directories.)
+// write ever has zero durable homes.
 const (
 	walOpPut = 'P'
 	walOpDel = 'D'
@@ -259,26 +258,19 @@ func (w *wal) close() error {
 	return err
 }
 
-// legacyWALName is the pre-segmentation log file.
-const legacyWALName = "wal.log"
-
 // walSegmentName formats the n-th segment file name.
 func walSegmentName(n int) string {
 	return fmt.Sprintf("wal-%08d.log", n)
 }
 
-// walSegments lists the WAL files of dir in replay order: the legacy
-// wal.log (oldest, if present) followed by segments by ascending number.
+// walSegments lists the WAL segments of dir in replay order (ascending
+// number).
 func walSegments(dir string) ([]string, error) {
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(segs)
-	legacy := filepath.Join(dir, legacyWALName)
-	if _, err := os.Stat(legacy); err == nil {
-		segs = append([]string{legacy}, segs...)
-	}
 	return segs, nil
 }
 

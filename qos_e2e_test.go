@@ -105,7 +105,6 @@ func TestQoSTwoTenantFairness(t *testing.T) {
 		Tenant:     "greedy",
 		NetSim:     &fabric.NetSim{Fault: in.ClientFault()},
 		Resilience: pol,
-		Async:      &asyncengine.Config{Disabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)

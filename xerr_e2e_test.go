@@ -48,13 +48,12 @@ func xerrService(t *testing.T, qcfg qos.Config, tenant string) (*yokan.Client, y
 		t.Fatal(err)
 	}
 	pol := &resilience.Policy{MaxRetries: 3, Retryable: fabric.RetryableError}
-	cli, err := margo.Init(margo.Config{Address: "tcp://127.0.0.1:0", Tenant: tenant})
+	cli, err := margo.Init(margo.Config{Address: "tcp://127.0.0.1:0", Tenant: tenant, Resilience: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cli.Finalize)
 	yc := yokan.NewClient(cli)
-	yc.Policy = pol
 	h := yokan.DBHandle{Addr: server.Addr(), Provider: 1, Name: prov.Databases()[0]}
 	return yc, h, prov, pol, cli
 }
@@ -215,15 +214,15 @@ func TestErrorClassCensusUnderChaos(t *testing.T) {
 	}
 	pol := &resilience.Policy{MaxRetries: 8, Retryable: fabric.RetryableError}
 	cli, err := margo.Init(margo.Config{
-		Address: "tcp://127.0.0.1:0",
-		NetSim:  &fabric.NetSim{Fault: in.ClientFault()},
+		Address:    "tcp://127.0.0.1:0",
+		NetSim:     &fabric.NetSim{Fault: in.ClientFault()},
+		Resilience: pol,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cli.Finalize)
 	yc := yokan.NewClient(cli)
-	yc.Policy = pol
 	db := yokan.DBHandle{Addr: server.Addr(), Provider: 1, Name: prov.Databases()[0]}
 
 	ctx := context.Background()
