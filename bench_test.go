@@ -1,358 +1,30 @@
-// Package bench is the top-level benchmark harness: one benchmark per
-// figure and table of the paper's evaluation (§IV), plus real-code-path
-// pipeline benchmarks at laptop scale.
+// Package bench holds the repository's end-to-end tests and two
+// benchmarks that have no counterpart in benchmark/: the wire-path
+// round-trip whose allocs/op the allocation gate holds, and the §II-C3
+// ablation of placing children by their parent's key. Throughput and
+// latency of the workflows themselves are measured by benchmark/ (see
+// benchmark/README.md).
 //
-//	go test -bench=. -benchmem .
-//
-// Figure/table benchmarks report the simulated cluster metrics as custom
-// units (slices/s, efficiency %); the "Real" benchmarks run the actual
-// library — servers, RPC, serialization, selection — in-process.
+//	go test -run '^$' -bench 'WirePath|IterationPlacement' -benchmem .
 package bench
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/bedrock"
-	"github.com/hep-on-hpc/hepnos-go/internal/chash"
 	"github.com/hep-on-hpc/hepnos-go/internal/core"
-	"github.com/hep-on-hpc/hepnos-go/internal/dataloader"
 	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
-	"github.com/hep-on-hpc/hepnos-go/internal/filebased"
 	"github.com/hep-on-hpc/hepnos-go/internal/keys"
 	"github.com/hep-on-hpc/hepnos-go/internal/nova"
 	"github.com/hep-on-hpc/hepnos-go/internal/serde"
-	"github.com/hep-on-hpc/hepnos-go/internal/simexp"
 	"github.com/hep-on-hpc/hepnos-go/internal/wire"
-	"github.com/hep-on-hpc/hepnos-go/internal/workflow"
 )
 
-// ---------------------------------------------------------------------------
-// Figure 2: strong scaling of the three workflows, 17.4M-event sample.
-// ---------------------------------------------------------------------------
-
-func BenchmarkFig2StrongScaling(b *testing.B) {
-	m := simexp.Theta()
-	w := simexp.PaperWorkloads()[2]
-	for _, nodes := range simexp.Fig2Nodes {
-		for _, wf := range []struct {
-			name string
-			run  func(seed uint64) simexp.SimResult
-		}{
-			{"file-based", func(s uint64) simexp.SimResult {
-				return simexp.SimulateFileBased(m, nodes, w, s)
-			}},
-			{"hepnos-lsm", func(s uint64) simexp.SimResult {
-				return simexp.SimulateHEPnOS(m, nodes, w, simexp.DefaultHEPnOSParams(simexp.BackendLSM), s)
-			}},
-			{"hepnos-mem", func(s uint64) simexp.SimResult {
-				return simexp.SimulateHEPnOS(m, nodes, w, simexp.DefaultHEPnOSParams(simexp.BackendMap), s)
-			}},
-		} {
-			b.Run(fmt.Sprintf("nodes=%d/%s", nodes, wf.name), func(b *testing.B) {
-				var thr, util float64
-				for i := 0; i < b.N; i++ {
-					r := wf.run(uint64(i) + 1)
-					thr += r.Throughput
-					util += r.CoreUtilization
-				}
-				b.ReportMetric(thr/float64(b.N), "slices/s")
-				b.ReportMetric(100*util/float64(b.N), "core%")
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 3: throughput vs dataset size at 128 nodes.
-// ---------------------------------------------------------------------------
-
-func BenchmarkFig3DatasetSize(b *testing.B) {
-	m := simexp.Theta()
-	const nodes = 128
-	for _, w := range simexp.PaperWorkloads() {
-		for _, wf := range []struct {
-			name string
-			run  func(seed uint64) simexp.SimResult
-		}{
-			{"file-based", func(s uint64) simexp.SimResult {
-				return simexp.SimulateFileBased(m, nodes, w, s)
-			}},
-			{"hepnos-lsm", func(s uint64) simexp.SimResult {
-				return simexp.SimulateHEPnOS(m, nodes, w, simexp.DefaultHEPnOSParams(simexp.BackendLSM), s)
-			}},
-			{"hepnos-mem", func(s uint64) simexp.SimResult {
-				return simexp.SimulateHEPnOS(m, nodes, w, simexp.DefaultHEPnOSParams(simexp.BackendMap), s)
-			}},
-		} {
-			b.Run(fmt.Sprintf("files=%d/%s", w.Files, wf.name), func(b *testing.B) {
-				var thr float64
-				for i := 0; i < b.N; i++ {
-					thr += wf.run(uint64(i) + 1).Throughput
-				}
-				b.ReportMetric(thr/float64(b.N), "slices/s")
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Derived table A: strong-scaling efficiency (§IV-E text: "85% at 128").
-// ---------------------------------------------------------------------------
-
-func BenchmarkTableStrongScalingEfficiency(b *testing.B) {
-	m := simexp.Theta()
-	for i := 0; i < b.N; i++ {
-		rows := simexp.StrongScalingTable(simexp.Fig2(m, 3))
-		for _, r := range rows {
-			if r.Workflow == "hepnos/in-memory" && r.Nodes == 128 {
-				b.ReportMetric(100*r.Efficiency, "eff128%")
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Derived table B: §IV-D tuning ablation (load batch / work batch /
-// prefetch).
-// ---------------------------------------------------------------------------
-
-func BenchmarkAblationTuning(b *testing.B) {
-	m := simexp.Theta()
-	w := simexp.PaperWorkloads()[2]
-	cases := []struct {
-		name       string
-		load, work int
-		prefetch   bool
-	}{
-		{"paper-16384-64-prefetch", 16384, 64, true},
-		{"load-1024", 1024, 64, true},
-		{"work-4096", 16384, 4096, true},
-		{"no-prefetch", 16384, 64, false},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				r := simexp.SimulateHEPnOS(m, 128, w, simexp.HEPnOSParams{
-					Backend:   simexp.BackendMap,
-					LoadBatch: c.load,
-					WorkBatch: c.work,
-					Prefetch:  c.prefetch,
-				}, uint64(i)+1)
-				thr += r.Throughput
-			}
-			b.ReportMetric(thr/float64(b.N), "slices/s")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Real pipelines at laptop scale: the actual library, servers and RPC.
-// ---------------------------------------------------------------------------
-
 var benchSeq atomic.Int64
-
-// realSample builds files + a loaded datastore once per benchmark.
-func realSample(b *testing.B, files int) (*core.DataStore, []string) {
-	b.Helper()
-	dir, err := os.MkdirTemp("", "hepnos-bench-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.RemoveAll(dir) })
-	gen := nova.NewGenerator(nova.GenParams{Seed: 2024, MeanEventsPerFile: 120, FilesPerSubRun: 2})
-	paths, err := nova.GenerateSample(dir, gen, files)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dep, err := bedrock.Deploy(bedrock.DeploySpec{
-		Servers:             2,
-		ProvidersPerServer:  4,
-		EventDBsPerServer:   4,
-		ProductDBsPerServer: 4,
-		NamePrefix:          fmt.Sprintf("bench-%d", benchSeq.Add(1)),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(dep.Shutdown)
-	ds, err := core.Connect(context.Background(), core.ClientConfig{Group: dep.Group})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(ds.Close)
-
-	ctx := context.Background()
-	dataset, err := ds.CreateDataSet(ctx, "bench/nova")
-	if err != nil {
-		b.Fatal(err)
-	}
-	schemas, err := dataloader.InspectFile(paths[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	binding, err := dataloader.Bind(nova.Slice{}, schemas[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	loader := &dataloader.Loader{DS: ds, Label: "slices", Parallelism: 4}
-	if _, err := loader.IngestFiles(ctx, dataset, binding, paths); err != nil {
-		b.Fatal(err)
-	}
-	return ds, paths
-}
-
-// BenchmarkRealFileBasedSelection runs the actual traditional workflow.
-func BenchmarkRealFileBasedSelection(b *testing.B) {
-	_, paths := realSample(b, 8)
-	b.ResetTimer()
-	var slices int
-	for i := 0; i < b.N; i++ {
-		res, err := filebased.Run(filebased.Config{Files: paths, Processes: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		slices = res.TotalSlices
-	}
-	b.ReportMetric(float64(slices), "slices")
-}
-
-// BenchmarkRealHEPnOSSelection runs the actual HEPnOS workflow (MPI ranks
-// + ParallelEventProcessor + RPC + deserialization).
-func BenchmarkRealHEPnOSSelection(b *testing.B) {
-	ds, _ := realSample(b, 8)
-	b.ResetTimer()
-	var slices int
-	for i := 0; i < b.N; i++ {
-		res, err := workflow.Run(context.Background(), ds, workflow.Config{
-			Dataset: "bench/nova",
-			Ranks:   4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		slices = res.TotalSlices
-	}
-	b.ReportMetric(float64(slices), "slices")
-}
-
-// BenchmarkRealIngest measures the DataLoader path (schema-bound decode +
-// WriteBatch multi-puts).
-func BenchmarkRealIngest(b *testing.B) {
-	dir, err := os.MkdirTemp("", "hepnos-bench-ingest-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.RemoveAll(dir) })
-	gen := nova.NewGenerator(nova.GenParams{Seed: 5, MeanEventsPerFile: 120})
-	paths, err := nova.GenerateSample(dir, gen, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	schemas, err := dataloader.InspectFile(paths[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	binding, err := dataloader.Bind(nova.Slice{}, schemas[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dep, err := bedrock.Deploy(bedrock.DeploySpec{
-			Servers: 1, ProvidersPerServer: 2,
-			EventDBsPerServer: 2, ProductDBsPerServer: 2,
-			NamePrefix: fmt.Sprintf("bench-ing-%d", benchSeq.Add(1)),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ds, err := core.Connect(ctx, core.ClientConfig{Group: dep.Group})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dataset, err := ds.CreateDataSet(ctx, "bench/nova")
-		if err != nil {
-			b.Fatal(err)
-		}
-		loader := &dataloader.Loader{DS: ds, Label: "slices", Parallelism: 4}
-		b.StartTimer()
-		st, err := loader.IngestFiles(ctx, dataset, binding, paths)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(st.Events), "events")
-		ds.Close()
-		dep.Shutdown()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkRealWorkflowsAgree exercises the §IV correctness check under
-// the benchmark harness, guarding against silent divergence while tuning.
-func BenchmarkRealWorkflowsAgree(b *testing.B) {
-	ds, paths := realSample(b, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fileRes, err := filebased.Run(filebased.Config{Files: paths, Processes: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		hepRes, err := workflow.Run(context.Background(), ds, workflow.Config{
-			Dataset: "bench/nova", Ranks: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !reflect.DeepEqual(fileRes.Selected, hepRes.Selected) {
-			b.Fatal("workflows diverged")
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Extension ablations: design choices called out in DESIGN.md.
-// ---------------------------------------------------------------------------
-
-// BenchmarkRescalePlacement quantifies the Pufferscale trade (§V future
-// work): the fraction of keys relocated when the database set grows from
-// 16 to 24 under each placement strategy.
-func BenchmarkRescalePlacement(b *testing.B) {
-	for _, p := range []core.Placement{core.PlacementModulo, core.PlacementJump} {
-		b.Run(string(p), func(b *testing.B) {
-			const keys = 100000
-			moved := 0
-			for i := 0; i < b.N; i++ {
-				moved = 0
-				oldPl := placerOf(p, 16)
-				newPl := placerOf(p, 24)
-				for k := 0; k < keys; k++ {
-					key := []byte(fmt.Sprintf("subrun-%d", k))
-					if oldPl.Place(key) != newPl.Place(key) {
-						moved++
-					}
-				}
-			}
-			b.ReportMetric(100*float64(moved)/keys, "moved%")
-		})
-	}
-}
-
-func placerOf(p core.Placement, n int) chash.Placer {
-	if p == core.PlacementJump {
-		return chash.Jump{N: n}
-	}
-	return chash.Modulo{N: n}
-}
 
 // BenchmarkIterationPlacementAblation measures why HEPnOS places children
 // by their *parent's* key (§II-C3): iterating the events of many subruns
@@ -466,116 +138,6 @@ func scatterList(ctx context.Context, ds *core.DataStore, sr *core.SubRun) (int,
 		}
 	}
 	return n, nil
-}
-
-// BenchmarkWeakScaling grows the dataset with the allocation (the
-// abstract's weak-scalability claim; a model prediction, see
-// EXPERIMENTS.md).
-func BenchmarkWeakScaling(b *testing.B) {
-	m := simexp.Theta()
-	base := simexp.PaperWorkloads()[2]
-	for _, nodes := range simexp.Fig2Nodes {
-		w := simexp.Workload{Files: base.Files / 16 * nodes, Events: base.Events / 16 * nodes}
-		b.Run(fmt.Sprintf("nodes=%d/hepnos-mem", nodes), func(b *testing.B) {
-			var perNode float64
-			for i := 0; i < b.N; i++ {
-				r := simexp.SimulateHEPnOS(m, nodes, w, simexp.DefaultHEPnOSParams(simexp.BackendMap), uint64(i)+1)
-				perNode += r.Throughput / float64(nodes)
-			}
-			b.ReportMetric(perNode/float64(b.N), "slices/s/node")
-		})
-	}
-}
-
-// BenchmarkRealHEPnOSSelectionLSM is the persistent-backend variant of the
-// real pipeline benchmark.
-func BenchmarkRealHEPnOSSelectionLSM(b *testing.B) {
-	dir, err := os.MkdirTemp("", "hepnos-bench-lsm-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.RemoveAll(dir) })
-	gen := nova.NewGenerator(nova.GenParams{Seed: 2024, MeanEventsPerFile: 120, FilesPerSubRun: 2})
-	paths, err := nova.GenerateSample(dir, gen, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dep, err := bedrock.Deploy(bedrock.DeploySpec{
-		Servers:             2,
-		ProvidersPerServer:  4,
-		EventDBsPerServer:   4,
-		ProductDBsPerServer: 4,
-		Backend:             "lsm",
-		PathBase:            dir,
-		NamePrefix:          fmt.Sprintf("bench-lsm-%d", benchSeq.Add(1)),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(dep.Shutdown)
-	ds, err := core.Connect(context.Background(), core.ClientConfig{Group: dep.Group})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(ds.Close)
-	ctx := context.Background()
-	dataset, err := ds.CreateDataSet(ctx, "bench/nova")
-	if err != nil {
-		b.Fatal(err)
-	}
-	schemas, err := dataloader.InspectFile(paths[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	binding, err := dataloader.Bind(nova.Slice{}, schemas[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	loader := &dataloader.Loader{DS: ds, Label: "slices", Parallelism: 4}
-	if _, err := loader.IngestFiles(ctx, dataset, binding, paths); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workflow.Run(ctx, ds, workflow.Config{Dataset: "bench/nova", Ranks: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIngestScaling is the DataLoader-phase series (§III-B): the one
-// step whose parallelism is bounded by the file count.
-func BenchmarkIngestScaling(b *testing.B) {
-	m := simexp.Theta()
-	w := simexp.PaperWorkloads()[2]
-	for _, nodes := range simexp.Fig2Nodes {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				thr += simexp.SimulateIngest(m, nodes, w, uint64(i)+1).Throughput
-			}
-			b.ReportMetric(thr/float64(b.N), "events/s")
-		})
-	}
-}
-
-// BenchmarkServerRatioAblation sweeps the server-node fraction (the §IV-D
-// 1:8 deployment choice).
-func BenchmarkServerRatioAblation(b *testing.B) {
-	m := simexp.Theta()
-	w := simexp.PaperWorkloads()[2]
-	for _, ratio := range []int{2, 4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("ratio=1:%d", ratio), func(b *testing.B) {
-			mm := m
-			mm.ServerRatio = ratio
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				r := simexp.SimulateHEPnOS(mm, 128, w, simexp.DefaultHEPnOSParams(simexp.BackendMap), uint64(i)+1)
-				thr += r.Throughput
-			}
-			b.ReportMetric(thr/float64(b.N), "slices/s")
-		})
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"github.com/hep-on-hpc/hepnos-go/hepnos"
 )
@@ -24,7 +23,6 @@ func main() {
 		groupPath = flag.String("group", "hepnos-group.json", "group file of the service")
 		recursive = flag.Bool("r", false, "recurse into runs/subruns/events")
 		maxItems  = flag.Int("max", 10, "items to print per level (0 = all)")
-		stats     = flag.Bool("stats", false, "print service-wide provider statistics and exit")
 		products  = flag.Bool("products", false, "print the per-database product census (keys only, no value decoding) and exit")
 	)
 	flag.Parse()
@@ -39,25 +37,6 @@ func main() {
 		fatal(err)
 	}
 	defer ds.Close()
-
-	if *stats {
-		st, err := ds.ServiceStats(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("providers: %d\n", st.Providers)
-		fmt.Printf("ops: puts=%d gets=%d lists=%d erases=%d bulk=%d\n",
-			st.Puts, st.Gets, st.Lists, st.Erases, st.BulkOps)
-		names := make([]string, 0, len(st.DBCounts))
-		for name := range st.DBCounts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Printf("  %-16s %d keys\n", name, st.DBCounts[name])
-		}
-		return
-	}
 
 	if *products {
 		counts, err := ds.ProductCounts(ctx)

@@ -13,7 +13,7 @@ import (
 
 // TestCLIEndToEnd builds every command-line tool and drives the full
 // multi-process workflow over real TCP: hepnos-server → novagen →
-// hdf2hepnos inspect+ingest → hepnos-ls (tree + stats) → hepnos-shutdown.
+// hdf2hepnos inspect+ingest → hepnos-ls → hepnos-metrics → hepnos-shutdown.
 // This is the deployment story from the README, verified.
 func TestCLIEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -85,7 +85,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("ingest output: %s", out)
 	}
 
-	// 5. Walk the hierarchy and scrape stats.
+	// 5. Walk the hierarchy and scrape the servers' metrics.
 	out = run("hepnos-ls", "-group", groupFile)
 	if !strings.Contains(out, "fermilab") {
 		t.Fatalf("ls output: %s", out)
@@ -94,9 +94,9 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "run 1000") || !strings.Contains(out, "vector<Slice>") {
 		t.Fatalf("ls -r output: %s", out)
 	}
-	out = run("hepnos-ls", "-group", groupFile, "-stats")
-	if !strings.Contains(out, "providers: 4") || !strings.Contains(out, "events_0") {
-		t.Fatalf("ls -stats output: %s", out)
+	out = run("hepnos-metrics", "-group", groupFile, "-prom")
+	if !promHasSample(out, "hepnos_yokan_db_keys", `db="events_0"`) {
+		t.Fatalf("metrics -prom output has no hepnos_yokan_db_keys sample for events_0:\n%s", out)
 	}
 
 	// 6. Liveness probe, then remote shutdown.
@@ -118,6 +118,19 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(serverOut.String(), "remote shutdown requested") {
 		t.Fatalf("server log: %s", serverOut)
 	}
+}
+
+// promHasSample reports whether Prometheus text holds a sample of family
+// name whose label set contains label.
+func promHasSample(text, name, label string) bool {
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+"{"); ok {
+			if labels, _, ok := strings.Cut(rest, "}"); ok && strings.Contains(labels, label) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {

@@ -15,7 +15,7 @@ import (
 // foreground: interactive read latency is sampled while a grow (+1 server)
 // and a drain (back to the original size) run the full plan → copy →
 // verify → commit → retire machine, and compared against the same reads on
-// a quiet cluster. The custom metrics feed BENCH_rebalance.json:
+// a quiet cluster. It reports these custom metrics:
 //
 //	p99_base_us  – read p99 with no migration running
 //	p99_mig_us   – read p99 while a migration is copying/verifying

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/bedrock"
+	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 )
 
 var deploySeq atomic.Int64
@@ -634,7 +636,10 @@ func TestPlacementCoLocation(t *testing.T) {
 	}
 }
 
-func TestServiceStats(t *testing.T) {
+// TestServiceMetrics scrapes every server's registry through bedrock's
+// admin provider and finds the stored hierarchy in it: every provider's
+// key counts, and at least one write per stored key.
+func TestServiceMetrics(t *testing.T) {
 	ds := newTestStore(t, bedrock.DeploySpec{Servers: 2})
 	ctx := context.Background()
 	d, _ := ds.CreateDataSet(ctx, "stats")
@@ -649,27 +654,34 @@ func TestServiceStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := ds.ServiceStats(ctx)
+	sources, err := bedrock.ScrapeGroup(ctx, ds.Margo(), ds.v().Group)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Providers != 4 { // 2 servers x 2 providers
-		t.Fatalf("providers = %d", st.Providers)
+	providers := map[string]bool{}
+	var keys, writes float64
+	for _, src := range sources {
+		for _, f := range src.Families {
+			for _, s := range f.Samples {
+				switch {
+				case f.Name == "hepnos_yokan_db_keys":
+					providers[src.Name+"/"+s.Labels["provider"]] = true
+					keys += s.Value
+				case f.Name == obs.MetricYokanOps && strings.HasPrefix(s.Labels["op"], "put"):
+					writes += s.Value
+				}
+			}
+		}
+	}
+	if len(providers) != 4 { // 2 servers x 2 providers
+		t.Fatalf("providers = %d", len(providers))
 	}
 	// 1 dataset entry + 1 run + 1 subrun + 25 events + 25 products.
-	var total uint64
-	for _, n := range st.DBCounts {
-		total += n
+	if keys != 53 {
+		t.Fatalf("total keys = %v, want 53", keys)
 	}
-	if total != 53 {
-		t.Fatalf("total keys = %d, want 53 (counts: %v)", total, st.DBCounts)
-	}
-	if st.Puts < 53 {
-		t.Fatalf("puts = %d", st.Puts)
-	}
-	ds.Close()
-	if _, err := ds.ServiceStats(ctx); !errors.Is(err, ErrClosed) {
-		t.Fatalf("stats after close: %v", err)
+	if writes < 53 {
+		t.Fatalf("write ops = %v", writes)
 	}
 }
 

@@ -711,43 +711,3 @@ func (ds *DataStore) ProbeOnce(ctx context.Context) {
 		ds.prober.Tick(ctx)
 	}
 }
-
-// ServiceStats aggregates operation counters and per-database key counts
-// across every provider of the service — the client side of the
-// monitoring hook (§V of the paper cites Symbiomon for this role).
-type ServiceStats struct {
-	Providers int
-	Puts      int64
-	Gets      int64
-	Lists     int64
-	Erases    int64
-	BulkOps   int64
-	// DBCounts maps database name to live key count.
-	DBCounts map[string]uint64
-}
-
-// ServiceStats scrapes all providers.
-func (ds *DataStore) ServiceStats(ctx context.Context) (ServiceStats, error) {
-	if ds.closed.Load() {
-		return ServiceStats{}, ErrClosed
-	}
-	agg := ServiceStats{DBCounts: map[string]uint64{}}
-	for _, srv := range ds.v().Group.Servers {
-		for _, pid := range srv.Providers {
-			rs, err := ds.yc.Stats(ctx, fabric.Address(srv.Address), margo.ProviderID(pid))
-			if err != nil {
-				return agg, fmt.Errorf("hepnos: stats from %s provider %d: %w", srv.Address, pid, err)
-			}
-			agg.Providers++
-			agg.Puts += rs.Puts
-			agg.Gets += rs.Gets
-			agg.Lists += rs.Lists
-			agg.Erases += rs.Erases
-			agg.BulkOps += rs.BulkOps
-			for name, n := range rs.DBCounts {
-				agg.DBCounts[name] += n
-			}
-		}
-	}
-	return agg, nil
-}

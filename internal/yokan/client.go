@@ -270,52 +270,6 @@ func (c *Client) ListKeyVals(ctx context.Context, db DBHandle, from, prefix []by
 	return out, nil
 }
 
-// Count returns the number of keys in the database.
-func (c *Client) Count(ctx context.Context, db DBHandle) (int, error) {
-	var resp countResp
-	if err := c.forward(ctx, db, "count", countReq{DB: db.Name}, &resp); err != nil {
-		return 0, err
-	}
-	return int(resp.Count), nil
-}
-
-// RemoteStats is a provider's operation counters and per-database sizes.
-type RemoteStats struct {
-	ProviderStats
-	// CallsServed and BulkBytes are transport-level counters of the
-	// serving process's endpoint.
-	CallsServed int64
-	BulkBytes   int64
-	// DBCounts maps database name to live key count.
-	DBCounts map[string]uint64
-}
-
-// Stats scrapes a provider's counters — the monitoring hook (§V cites
-// Symbiomon as the Mochi monitoring companion service).
-func (c *Client) Stats(ctx context.Context, addr fabric.Address, id margo.ProviderID) (RemoteStats, error) {
-	out, err := c.mi.Forward(ctx, addr, ServiceName, id, "stats", nil)
-	if err != nil {
-		return RemoteStats{}, err
-	}
-	var resp statsResp
-	if err := serde.Unmarshal(out, &resp); err != nil {
-		return RemoteStats{}, err
-	}
-	rs := RemoteStats{
-		ProviderStats: ProviderStats{
-			Puts: resp.Puts, Gets: resp.Gets, Lists: resp.Lists,
-			Erases: resp.Erases, BulkOps: resp.BulkOps,
-		},
-		CallsServed: resp.CallsServed,
-		BulkBytes:   resp.BulkBytes,
-		DBCounts:    make(map[string]uint64, len(resp.Names)),
-	}
-	for i, name := range resp.Names {
-		rs.DBCounts[name] = resp.Counts[i]
-	}
-	return rs, nil
-}
-
 // ListDatabases asks a provider which databases it serves.
 func (c *Client) ListDatabases(ctx context.Context, addr fabric.Address, id margo.ProviderID) (names, types []string, err error) {
 	out, err := c.mi.Forward(ctx, addr, ServiceName, id, "db_list", nil)

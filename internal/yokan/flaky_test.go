@@ -26,7 +26,8 @@ func TestFlakyNetworkFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Finalize()
-	if _, err := NewProvider(server, 0, nil, []DBConfig{{Name: "db"}}); err != nil {
+	prov, err := NewProvider(server, 0, nil, []DBConfig{{Name: "db"}})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,7 +80,7 @@ func TestFlakyNetworkFailsCleanly(t *testing.T) {
 	if _, err := cli.Get(ctx, db, []byte("during")); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("dropped put must not have landed: %v", err)
 	}
-	n, err := cli.Count(ctx, db)
+	n, err := prov.DB("db").Count()
 	if err != nil || n != 1 {
 		t.Fatalf("count after heal = %d %v", n, err)
 	}
@@ -97,7 +98,8 @@ func TestBulkPutBadHandleLeavesNoResidue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Finalize()
-	if _, err := NewProvider(server, 0, nil, []DBConfig{{Name: "db"}}); err != nil {
+	prov, err := NewProvider(server, 0, nil, []DBConfig{{Name: "db"}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	cliMI, err := margo.Init(margo.Config{
@@ -128,7 +130,7 @@ func TestBulkPutBadHandleLeavesNoResidue(t *testing.T) {
 	if _, err := cliMI.Forward(ctx, db.Addr, ServiceName, db.Provider, "put_multi_bulk", breq); err == nil {
 		t.Fatal("bulk put with unexposed handle should fail")
 	}
-	n, err := cli.Count(ctx, db)
+	n, err := prov.DB("db").Count()
 	if err != nil || n != 3 {
 		t.Fatalf("count after failed bulk put = %d %v, want 3", n, err)
 	}

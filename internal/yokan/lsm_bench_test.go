@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// The ISSUE 8 storage-tier trajectory benchmarks. CI runs them for one
-// iteration through cmd/benchjson into BENCH_lsm.json; the committed
-// baseline locks the cached read path's ns/op and allocs/op.
+// Storage-tier micro-benchmarks: cached vs uncached point reads,
+// group-commit vs sync-each writes, and the keys-only scan. They are plain
+// `go test -bench` tools for work on the LSM; the end-to-end storage
+// numbers are the ingest-lsm and scan-lsm workloads of benchmark/.
 
 // benchTableDB builds a flushed single-table store of n 256-byte values
 // and returns it with the pre-rendered keys.
@@ -37,8 +38,7 @@ func benchTableDB(b *testing.B, opts LSMOptions, n int) (*lsmDB, [][]byte) {
 
 // BenchmarkLSMGetCached is the headline cached read path: a working set
 // resident in the block cache, point Gets served without touching the
-// SSTable file. Its ns/op and allocs/op are the locked BENCH_lsm.json
-// budgets.
+// SSTable file.
 func BenchmarkLSMGetCached(b *testing.B) {
 	const n = 20000
 	db, keys := benchTableDB(b, LSMOptions{MemtableBytes: 1 << 30}, n)

@@ -22,11 +22,11 @@ type opAgg struct {
 }
 
 // trackedOps are the database-scoped operations that get an aggregate
-// bucket; administrative RPCs (db_list, stats, bulk_free) are not
-// per-database and are visible through the fabric breadcrumbs instead.
+// bucket; administrative RPCs (db_list, bulk_free) are not per-database
+// and are visible through the fabric breadcrumbs instead.
 var trackedOps = []string{
 	"put", "put_new", "put_multi", "get", "get_multi",
-	"exists", "erase", "list_keys", "scan", "count",
+	"exists", "erase", "list_keys", "scan",
 }
 
 func newOpAggs(dbs []string) map[string]map[string]*opAgg {
@@ -62,8 +62,8 @@ func (p *Provider) track(ctx context.Context, db, op string) func(error) {
 	}
 }
 
-// RegisterMetrics exposes the provider's per-database service-time
-// aggregates and coarse operation counters in reg. Several providers in
+// RegisterMetrics exposes the provider's per-database operation counts,
+// service-time aggregates and key counts in reg. Several providers in
 // one process register the same families; their samples are disjoint by
 // the provider label.
 func (p *Provider) RegisterMetrics(reg *obs.Registry) {

@@ -83,42 +83,14 @@ type (
 		Keys [][]byte
 		Vals [][]byte // empty unless requested
 	}
-	countReq struct {
-		DB string
-	}
-	countResp struct {
-		Count uint64
-	}
 	dbListResp struct {
 		Names []string
 		Types []string
-	}
-	statsResp struct {
-		Puts    int64
-		Gets    int64
-		Lists   int64
-		Erases  int64
-		BulkOps int64
-		// Endpoint-level transport counters of the serving process.
-		CallsServed int64
-		BulkBytes   int64
-		// Counts holds per-database live key counts, parallel to Names.
-		Names  []string
-		Counts []uint64
 	}
 	bulkFreeReq struct {
 		Handle []byte
 	}
 )
-
-// ProviderStats counts served operations.
-type ProviderStats struct {
-	Puts    int64
-	Gets    int64
-	Lists   int64
-	Erases  int64
-	BulkOps int64
-}
 
 // Provider serves a set of databases over a margo instance.
 type Provider struct {
@@ -126,14 +98,7 @@ type Provider struct {
 	dbs map[string]Backend
 	mi  *margo.Instance
 
-	puts    atomic.Int64
-	gets    atomic.Int64
-	lists   atomic.Int64
-	erases  atomic.Int64
-	bulkOps atomic.Int64
-
 	// Pushdown-scan accounting (hepnos_scan_* families; see metrics.go).
-	scans             atomic.Int64
 	scanPagesTotal    atomic.Int64
 	scanRowsScanned   atomic.Int64
 	scanRowsMatched   atomic.Int64
@@ -182,10 +147,8 @@ func NewProviderStorage(mi *margo.Instance, id margo.ProviderID, pool *argo.Pool
 		"erase":          p.handleErase,
 		"list_keys":      p.handleList,
 		"scan":           p.handleScan,
-		"count":          p.handleCount,
 		"db_list":        p.handleDBList,
 		"bulk_free":      p.handleBulkFree,
-		"stats":          p.handleStats,
 	}
 	if _, err := mi.RegisterProvider(ServiceName, id, pool, handlers); err != nil {
 		p.closeAll()
@@ -210,17 +173,6 @@ func (p *Provider) Databases() []string {
 // DB exposes a served backend by name (nil if absent); used by tests and
 // local tools.
 func (p *Provider) DB(name string) Backend { return p.dbs[name] }
-
-// Stats returns a snapshot of operation counters.
-func (p *Provider) Stats() ProviderStats {
-	return ProviderStats{
-		Puts:    p.puts.Load(),
-		Gets:    p.gets.Load(),
-		Lists:   p.lists.Load(),
-		Erases:  p.erases.Load(),
-		BulkOps: p.bulkOps.Load(),
-	}
-}
 
 // Close closes all databases. The margo instance keeps the RPCs registered
 // but they will fail with ErrDBClosed.
@@ -278,7 +230,6 @@ func (p *Provider) handlePut(ctx context.Context, r *fabric.Request) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	p.puts.Add(1)
 	done := p.track(ctx, req.DB, "put")
 	err = db.Put(req.Key, req.Val)
 	done(err)
@@ -295,7 +246,6 @@ func (p *Provider) handlePutNew(ctx context.Context, r *fabric.Request) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	p.puts.Add(1)
 	done := p.track(ctx, req.DB, "put_new")
 	winner, inserted, err := db.GetOrPut(req.Key, req.Val)
 	done(err)
@@ -321,7 +271,6 @@ func (p *Provider) applyPutMulti(ctx context.Context, req *putMultiReq) error {
 		}
 	}
 	done(nil)
-	p.puts.Add(int64(len(req.Keys)))
 	return nil
 }
 
@@ -346,7 +295,6 @@ func (p *Provider) handlePutMultiBulk(ctx context.Context, r *fabric.Request) ([
 	if err != nil {
 		return nil, fmt.Errorf("yokan: bulk pull: %w", err)
 	}
-	p.bulkOps.Add(1)
 	var req putMultiReq
 	if err := decodeReq(data, &req); err != nil {
 		return nil, err
@@ -363,7 +311,6 @@ func (p *Provider) handleGet(ctx context.Context, r *fabric.Request) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	p.gets.Add(1)
 	done := p.track(ctx, req.DB, "get")
 	val, err := db.Get(req.Key)
 	switch {
@@ -412,7 +359,6 @@ func (p *Provider) handleGetMulti(ctx context.Context, r *fabric.Request) ([]byt
 		}
 	}
 	done(nil)
-	p.gets.Add(int64(len(req.Keys)))
 	if !req.Bulk {
 		return encodeResp(resp)
 	}
@@ -422,7 +368,6 @@ func (p *Provider) handleGetMulti(ctx context.Context, r *fabric.Request) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	p.bulkOps.Add(1)
 	h := p.mi.Endpoint().ExposeBulk(data)
 	return encodeResp(getMultiBulkResp{Handle: h.Encode(nil)})
 }
@@ -485,7 +430,6 @@ func (p *Provider) handleErase(ctx context.Context, r *fabric.Request) ([]byte, 
 		}
 	}
 	done(nil)
-	p.erases.Add(int64(len(req.Keys)))
 	return encodeResp(eraseResp{Erased: erased})
 }
 
@@ -498,7 +442,6 @@ func (p *Provider) handleList(ctx context.Context, r *fabric.Request) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	p.lists.Add(1)
 	done := p.track(ctx, req.DB, "list_keys")
 	if req.Vals {
 		kvs, err := db.ListKeyVals(req.From, req.Prefix, int(req.Max))
@@ -519,45 +462,6 @@ func (p *Provider) handleList(ctx context.Context, r *fabric.Request) ([]byte, e
 		return nil, err
 	}
 	return encodeResp(listResp{Keys: ks})
-}
-
-func (p *Provider) handleCount(ctx context.Context, r *fabric.Request) ([]byte, error) {
-	var req countReq
-	if err := decodeReq(r.Payload, &req); err != nil {
-		return nil, err
-	}
-	db, err := p.lookup(req.DB)
-	if err != nil {
-		return nil, err
-	}
-	done := p.track(ctx, req.DB, "count")
-	n, err := db.Count()
-	done(err)
-	if err != nil {
-		return nil, err
-	}
-	return encodeResp(countResp{Count: uint64(n)})
-}
-
-// handleStats serves operation counters and per-database key counts — the
-// hook a monitoring service (the paper cites Symbiomon, §V) would scrape.
-func (p *Provider) handleStats(_ context.Context, _ *fabric.Request) ([]byte, error) {
-	st := p.Stats()
-	ep := p.mi.Endpoint().Stats()
-	resp := statsResp{
-		Puts: st.Puts, Gets: st.Gets, Lists: st.Lists,
-		Erases: st.Erases, BulkOps: st.BulkOps,
-		CallsServed: ep.CallsServed, BulkBytes: ep.BulkBytes,
-	}
-	for _, name := range p.Databases() {
-		n, err := p.dbs[name].Count()
-		if err != nil {
-			return nil, err
-		}
-		resp.Names = append(resp.Names, name)
-		resp.Counts = append(resp.Counts, uint64(n))
-	}
-	return encodeResp(resp)
 }
 
 func (p *Provider) handleDBList(_ context.Context, _ *fabric.Request) ([]byte, error) {

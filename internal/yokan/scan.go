@@ -40,7 +40,6 @@ type (
 		Hi    uint64
 		Pages uint32 // page budget for this call (0 = DefaultScanPages)
 		From  []byte // resume cursor: the More value of the previous reply
-		Bulk  bool   // expose the reply for RDMA pull instead of inline return
 	}
 	scanResp struct {
 		Events []uint64 // per surviving row, ascending (repeats per row)
@@ -54,41 +53,48 @@ type (
 		FullBytes     uint64 // row-path bytes the scanned products occupy
 		ReturnedBytes uint64 // column bytes + event ids actually returned
 	}
-	scanBulkResp struct {
-		Handle []byte // encoded fabric.BulkHandle over a serde scanResp
-	}
 )
 
+// decodeScanReq decodes a scan request and its predicate from untrusted
+// bytes. The predicate crosses the wire pre-bound (column ids, not names);
+// structural validation bounds recursion and node count regardless of what
+// the client sent. Predicate decode copies, so pred aliases nothing; req's
+// byte fields borrow payload (see decodeReq).
+func decodeScanReq(payload []byte, req *scanReq, pred *serde.Predicate) (havePred bool, err error) {
+	if err := decodeReq(payload, req); err != nil {
+		return false, err
+	}
+	if len(req.Pred) > 0 {
+		if err := serde.Unmarshal(req.Pred, pred); err != nil {
+			return false, fmt.Errorf("yokan: bad scan predicate: %w", err)
+		}
+		if err := pred.Validate(); err != nil {
+			return false, fmt.Errorf("yokan: bad scan predicate: %w", err)
+		}
+	}
+	for _, c := range req.Cols {
+		if int(c) >= maxColID {
+			return false, fmt.Errorf("yokan: scan column id %d out of range", c)
+		}
+	}
+	return len(req.Pred) > 0, nil
+}
+
 func (p *Provider) handleScan(ctx context.Context, r *fabric.Request) ([]byte, error) {
-	var req scanReq
-	if err := decodeReq(r.Payload, &req); err != nil {
+	var (
+		req  scanReq
+		pred serde.Predicate
+	)
+	havePred, err := decodeScanReq(r.Payload, &req, &pred)
+	if err != nil {
 		return nil, err
 	}
 	db, err := p.lookup(req.DB)
 	if err != nil {
 		return nil, err
 	}
-	// The predicate crosses the wire pre-bound (column ids, not names);
-	// structural validation bounds recursion and node count regardless of
-	// what the client sent. Decode copies, so nothing aliases the request.
-	var pred serde.Predicate
-	havePred := len(req.Pred) > 0
-	if havePred {
-		if err := serde.Unmarshal(req.Pred, &pred); err != nil {
-			return nil, fmt.Errorf("yokan: bad scan predicate: %w", err)
-		}
-		if err := pred.Validate(); err != nil {
-			return nil, fmt.Errorf("yokan: bad scan predicate: %w", err)
-		}
-	}
-	for _, c := range req.Cols {
-		if int(c) >= maxColID {
-			return nil, fmt.Errorf("yokan: scan column id %d out of range", c)
-		}
-	}
-	p.scans.Add(1)
 	done := p.track(ctx, req.DB, "scan")
-	resp, err := p.scanPages(db, &req, pred, havePred)
+	resp, err := scanPages(db, &req, pred, havePred)
 	done(err)
 	if err != nil {
 		return nil, err
@@ -100,22 +106,13 @@ func (p *Provider) handleScan(ctx context.Context, r *fabric.Request) ([]byte, e
 	if resp.FullBytes > resp.ReturnedBytes {
 		p.scanBytesSaved.Add(int64(resp.FullBytes - resp.ReturnedBytes))
 	}
-	if !req.Bulk {
-		return encodeResp(resp)
-	}
-	data, err := encodeResp(resp)
-	if err != nil {
-		return nil, err
-	}
-	p.bulkOps.Add(1)
-	h := p.mi.Endpoint().ExposeBulk(data)
-	return encodeResp(scanBulkResp{Handle: h.Encode(nil)})
+	return encodeResp(resp)
 }
 
 // scanPages executes the scan against the backend. All returned byte
 // slices are either fresh appends or clones from the backend — never views
 // into the borrowed request.
-func (p *Provider) scanPages(db Backend, req *scanReq, pred serde.Predicate, havePred bool) (*scanResp, error) {
+func scanPages(db Backend, req *scanReq, pred serde.Predicate, havePred bool) (*scanResp, error) {
 	budget := int(req.Pages)
 	if budget <= 0 {
 		budget = DefaultScanPages
@@ -299,7 +296,6 @@ type ScanRequest struct {
 	Hi    uint64
 	Pages int    // per-call page budget (0 = server default)
 	From  []byte // resume cursor from the previous ScanResult.More
-	Bulk  bool   // pull the reply over the bulk path
 }
 
 // ScanResult is one scan call's reply. Column chunks are borrowed views
@@ -321,7 +317,7 @@ type ScanResult struct {
 func (c *Client) Scan(ctx context.Context, db DBHandle, sr ScanRequest) (*ScanResult, error) {
 	req := scanReq{
 		DB: db.Name, Group: sr.Group, Cols: sr.Cols,
-		Lo: sr.Lo, Hi: sr.Hi, Pages: uint32(sr.Pages), From: sr.From, Bulk: sr.Bulk,
+		Lo: sr.Lo, Hi: sr.Hi, Pages: uint32(sr.Pages), From: sr.From,
 	}
 	if sr.Pred.Op != serde.OpNone {
 		pb, err := serde.Marshal(sr.Pred)
@@ -330,36 +326,12 @@ func (c *Client) Scan(ctx context.Context, db DBHandle, sr ScanRequest) (*ScanRe
 		}
 		req.Pred = pb
 	}
+	// Borrowed decode: the column views alias the GC-owned response.
 	var resp scanResp
-	if !sr.Bulk {
-		// Borrowed decode: the column views alias the GC-owned response.
-		if err := c.forwardBorrow(ctx, db, "scan", req, &resp); err != nil {
-			return nil, err
-		}
-		return scanResultOf(&resp), nil
-	}
-	var bresp scanBulkResp
-	if err := c.forward(ctx, db, "scan", req, &bresp); err != nil {
+	if err := c.forwardBorrow(ctx, db, "scan", req, &resp); err != nil {
 		return nil, err
 	}
-	h, _, err := fabric.DecodeBulkHandle(bresp.Handle)
-	if err != nil {
-		return nil, err
-	}
-	data, err := c.mi.Endpoint().PullBulkFrom(ctx, db.Addr, h)
-	if err != nil {
-		return nil, err
-	}
-	freq, merr := serde.Marshal(bulkFreeReq{Handle: bresp.Handle})
-	if merr != nil {
-		err = fmt.Errorf("yokan: encode bulk_free: %w", merr)
-	} else if _, ferr := c.call(ctx, db, "bulk_free", freq); ferr != nil {
-		err = ferr
-	}
-	if derr := serde.UnmarshalBorrow(data, &resp); derr != nil {
-		return nil, fmt.Errorf("yokan: decode bulk scan: %w", derr)
-	}
-	return scanResultOf(&resp), err
+	return scanResultOf(&resp), nil
 }
 
 func scanResultOf(resp *scanResp) *ScanResult {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 	"github.com/hep-on-hpc/hepnos-go/internal/serde"
 	"github.com/hep-on-hpc/hepnos-go/internal/wire"
 )
@@ -24,7 +25,7 @@ type scanEvent struct {
 // buildPages packs the fixture events into page families of perPage events
 // each, exactly as the core page builder does, and returns the KV pairs to
 // store.
-func buildPages(t *testing.T, schema *serde.ColumnSchema, group []byte, events []scanEvent, perPage int) (keys, vals [][]byte) {
+func buildPages(t testing.TB, schema *serde.ColumnSchema, group []byte, events []scanEvent, perPage int) (keys, vals [][]byte) {
 	t.Helper()
 	for start := 0; start < len(events); start += perPage {
 		end := start + perPage
@@ -113,22 +114,19 @@ func TestScanPushdown(t *testing.T) {
 		t.Fatal("fixture selects nothing")
 	}
 
-	for _, bulk := range []bool{false, true} {
-		res, err := cli.Scan(ctx, db, ScanRequest{
-			Group: group, Pred: pred, Cols: []uint32{aCol, tagCol},
-			Hi: ^uint64(0), Bulk: bulk,
-		})
-		if err != nil {
-			t.Fatalf("Scan(bulk=%v): %v", bulk, err)
-		}
-		if len(res.More) != 0 {
-			t.Fatalf("unexpected resume cursor with default page budget")
-		}
-		checkScanResult(t, schema, res, wantEvents, wantRows, int(aCol), int(tagCol))
-		if res.RowsScanned == 0 || res.FullBytes <= res.ReturnedBytes {
-			t.Errorf("accounting: scanned=%d full=%d returned=%d",
-				res.RowsScanned, res.FullBytes, res.ReturnedBytes)
-		}
+	res, err := cli.Scan(ctx, db, ScanRequest{
+		Group: group, Pred: pred, Cols: []uint32{aCol, tagCol}, Hi: ^uint64(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.More) != 0 {
+		t.Fatalf("unexpected resume cursor with default page budget")
+	}
+	checkScanResult(t, schema, res, wantEvents, wantRows, int(aCol), int(tagCol))
+	if res.RowsScanned == 0 || res.FullBytes <= res.ReturnedBytes {
+		t.Errorf("accounting: scanned=%d full=%d returned=%d",
+			res.RowsScanned, res.FullBytes, res.ReturnedBytes)
 	}
 
 	// Paged drain with a one-page budget must agree with the single call.
@@ -158,7 +156,7 @@ func TestScanPushdown(t *testing.T) {
 	}
 
 	// Event-range restriction without a predicate.
-	res, err := cli.Scan(ctx, db, ScanRequest{Group: group, Cols: []uint32{aCol}, Lo: 5, Hi: 7})
+	res, err = cli.Scan(ctx, db, ScanRequest{Group: group, Cols: []uint32{aCol}, Lo: 5, Hi: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +171,9 @@ func TestScanPushdown(t *testing.T) {
 	}
 
 	// Server-side counters moved.
-	if prov.scans.Load() == 0 || prov.scanPagesTotal.Load() == 0 ||
-		prov.scanRowsMatched.Load() == 0 || prov.scanBytesSaved.Load() == 0 {
-		t.Errorf("scan counters not accounted: %+v", prov.Stats())
+	if metricSum(providerMetrics(prov), obs.MetricYokanOps, "op", "scan") == 0 ||
+		prov.scanPagesTotal.Load() == 0 || prov.scanRowsMatched.Load() == 0 || prov.scanBytesSaved.Load() == 0 {
+		t.Errorf("scan counters not accounted")
 	}
 
 	// A scan of an unknown group is empty, not an error.

@@ -10,6 +10,7 @@ import (
 
 	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
 	"github.com/hep-on-hpc/hepnos-go/internal/margo"
+	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 )
 
 var svcSeq atomic.Int64
@@ -44,7 +45,7 @@ func newService(t *testing.T, scheme string, dbs []DBConfig) (*Client, DBHandle,
 func TestClientServerBasic(t *testing.T) {
 	for _, scheme := range []string{"inproc", "tcp"} {
 		t.Run(scheme, func(t *testing.T) {
-			cli, db, _ := newService(t, scheme, []DBConfig{{Name: "events"}})
+			cli, db, prov := newService(t, scheme, []DBConfig{{Name: "events"}})
 			ctx := context.Background()
 			if err := cli.Put(ctx, db, []byte("k"), []byte("v")); err != nil {
 				t.Fatal(err)
@@ -60,7 +61,7 @@ func TestClientServerBasic(t *testing.T) {
 			if err != nil || !found[0] || found[1] {
 				t.Fatalf("Exists = %v %v", found, err)
 			}
-			n, err := cli.Count(ctx, db)
+			n, err := prov.DB("events").Count()
 			if err != nil || n != 1 {
 				t.Fatalf("Count = %d %v", n, err)
 			}
@@ -97,8 +98,14 @@ func TestClientBatchedOps(t *testing.T) {
 	if found[5] {
 		t.Fatal("phantom key found")
 	}
-	if st := prov.Stats(); st.Puts != n || st.Gets != 6 {
-		t.Fatalf("provider stats = %+v", st)
+	// One RPC each way: the batch is one operation on the server.
+	fams := providerMetrics(prov)
+	if puts, gets := metricSum(fams, obs.MetricYokanOps, "op", "put_multi"),
+		metricSum(fams, obs.MetricYokanOps, "op", "get_multi"); puts != 1 || gets != 1 {
+		t.Fatalf("ops served: put_multi=%v get_multi=%v, want 1 and 1", puts, gets)
+	}
+	if keys := metricSum(fams, "hepnos_yokan_db_keys", "db", "events"); keys != n {
+		t.Fatalf("db keys = %v, want %d", keys, n)
 	}
 }
 
@@ -118,7 +125,10 @@ func TestClientBulkPaths(t *testing.T) {
 			if err := cli.PutMulti(ctx, db, keys, vals); err != nil {
 				t.Fatal(err)
 			}
-			if prov.Stats().BulkOps == 0 {
+			// The bulk path is the server pulling the batch for put and
+			// the client pulling the response for get.
+			server, client := prov.mi.Endpoint(), cli.mi.Endpoint()
+			if server.Stats().BulkPulls == 0 {
 				t.Fatal("large PutMulti did not use the bulk path")
 			}
 			// Bulk GetMulti.
@@ -131,7 +141,7 @@ func TestClientBulkPaths(t *testing.T) {
 					t.Fatalf("bulk get item %d corrupted", i)
 				}
 			}
-			if prov.Stats().BulkOps < 2 {
+			if client.Stats().BulkPulls == 0 {
 				t.Fatal("bulk GetMulti did not use the bulk path")
 			}
 		})
@@ -223,14 +233,14 @@ func TestProviderConfigErrors(t *testing.T) {
 
 func TestLSMOverRPC(t *testing.T) {
 	dir := t.TempDir()
-	cli, db, _ := newService(t, "inproc", []DBConfig{{Name: "persist", Type: "lsm", Path: dir}})
+	cli, db, prov := newService(t, "inproc", []DBConfig{{Name: "persist", Type: "lsm", Path: dir}})
 	ctx := context.Background()
 	for i := 0; i < 200; i++ {
 		if err := cli.Put(ctx, db, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n, err := cli.Count(ctx, db)
+	n, err := prov.DB("persist").Count()
 	if err != nil || n != 200 {
 		t.Fatalf("count = %d %v", n, err)
 	}
@@ -311,37 +321,69 @@ func benchService(b *testing.B) (*Client, DBHandle) {
 	return NewClient(cliMI), DBHandle{Addr: server.Addr(), Provider: 1, Name: "db"}
 }
 
-func TestProviderStatsRPC(t *testing.T) {
-	cli, db, _ := newService(t, "inproc", []DBConfig{{Name: "events_0"}, {Name: "products_0"}})
+// TestProviderOpMetrics checks the provider's registry families carry
+// what operators scrape: per-op counts and per-database key counts.
+func TestProviderOpMetrics(t *testing.T) {
+	cli, db, prov := newService(t, "inproc", []DBConfig{{Name: "events_0"}, {Name: "products_0"}})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		cli.Put(ctx, db, []byte(fmt.Sprintf("k%d", i)), []byte("v"))
 	}
 	cli.Get(ctx, db, []byte("k1"))
 	cli.ListKeys(ctx, db, nil, nil, 0)
-	st, err := cli.Stats(ctx, db.Addr, db.Provider)
-	if err != nil {
-		t.Fatal(err)
+	fams := providerMetrics(prov)
+	for op, want := range map[string]float64{"put": 10, "get": 1, "list_keys": 1} {
+		if got := metricSum(fams, obs.MetricYokanOps, "op", op); got != want {
+			t.Errorf("%s{op=%q} = %v, want %v", obs.MetricYokanOps, op, got, want)
+		}
 	}
-	if st.Puts != 10 || st.Gets != 1 || st.Lists != 1 {
-		t.Fatalf("stats = %+v", st)
+	if got := metricSum(fams, "hepnos_yokan_db_keys", "db", "events_0"); got != 10 {
+		t.Errorf("events_0 keys = %v, want 10", got)
 	}
-	if st.DBCounts["events_0"] != 10 || st.DBCounts["products_0"] != 0 {
-		t.Fatalf("db counts = %v", st.DBCounts)
+	if got := metricSum(fams, "hepnos_yokan_db_keys", "db", "products_0"); got != 0 {
+		t.Errorf("products_0 keys = %v, want 0", got)
 	}
 }
 
+// TestStatsIncludeEndpointCounters checks the serving process's transport
+// counters sit beside the provider's families in one registry.
 func TestStatsIncludeEndpointCounters(t *testing.T) {
-	cli, db, _ := newService(t, "inproc", []DBConfig{{Name: "events_0"}})
+	cli, db, prov := newService(t, "inproc", []DBConfig{{Name: "events_0"}})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		cli.Put(ctx, db, []byte{byte(i)}, []byte("v"))
 	}
-	st, err := cli.Stats(ctx, db.Addr, db.Provider)
-	if err != nil {
-		t.Fatal(err)
+	if served := metricSum(providerMetrics(prov), "hepnos_fabric_calls_served_total"); served < 5 {
+		t.Fatalf("calls served = %v", served)
 	}
-	if st.CallsServed < 5 {
-		t.Fatalf("calls served = %d", st.CallsServed)
+}
+
+// providerMetrics snapshots a registry holding prov's families and its
+// server endpoint's, as a bedrock process registers them.
+func providerMetrics(prov *Provider) []obs.Family {
+	reg := obs.NewRegistry()
+	prov.RegisterMetrics(reg)
+	prov.mi.Endpoint().RegisterMetrics(reg)
+	return reg.Snapshot()
+}
+
+// metricSum adds up the samples of family name whose labels include every
+// given key/value pair.
+func metricSum(fams []obs.Family, name string, labels ...string) float64 {
+	var sum float64
+	for _, f := range fams {
+		if f.Name != name {
+			continue
+		}
+	sample:
+		for _, s := range f.Samples {
+			for i := 0; i+1 < len(labels); i += 2 {
+				if s.Labels[labels[i]] != labels[i+1] {
+					continue sample
+				}
+			}
+			sum += s.Value
+		}
 	}
+	return sum
 }
