@@ -18,9 +18,11 @@ type container struct {
 	ds  *DataStore
 	key keys.ContainerKey
 
-	// prefetched, when non-nil, caches product bytes shipped ahead of time
-	// by the ParallelEventProcessor (label#type -> serialized value).
-	prefetched map[string][]byte
+	// prefetched holds the product bytes a Prefetcher shipped ahead of time
+	// for this container (an event of a PEP batch or an EventCursor page):
+	// its run of the batch's entries, each naming its selector in prefSel.
+	prefetched []pepPrefEntry
+	prefSel    []ProductSelector
 }
 
 // Key returns the container's encoded key.
@@ -101,9 +103,9 @@ func (c *container) Load(ctx context.Context, label string, ptr any) error {
 	if err != nil {
 		return err
 	}
-	if c.prefetched != nil {
-		if data, ok := c.prefetched[label+"#"+id.Type]; ok {
-			return decodeProduct(data, ptr)
+	for _, e := range c.prefetched {
+		if s := c.prefSel[e.Sel]; s.Label == label && s.Type == id.Type {
+			return decodeProduct(e.Data, ptr)
 		}
 	}
 	// Registered columnar event products live in pages; an event absent
@@ -374,12 +376,6 @@ func listChildNumbers(ctx context.Context, ds *DataStore, role func(*View) []yok
 		}
 	}
 	return out, nil
-}
-
-// eventFromKey rebuilds an Event handle (without parent handles) from its
-// raw key; used by the ParallelEventProcessor work distribution.
-func (ds *DataStore) eventFromKey(k keys.ContainerKey, prefetched map[string][]byte) *Event {
-	return &Event{container: container{ds: ds, key: k, prefetched: prefetched}}
 }
 
 // productIDFor builds and validates a product key for a container key,

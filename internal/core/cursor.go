@@ -39,8 +39,7 @@ type pageData struct {
 	done bool   // no further pages
 	err  error
 
-	raw      [][]byte // cks re-encoded, parallel to cks (prefetch only)
-	pref     []pepPrefEntry
+	pref     []pepPrefEntry // prefetched products, EventIdx indexing cks
 	degraded int
 }
 
@@ -71,7 +70,6 @@ type numberCursor struct {
 	err     error
 	current keys.ContainerKey
 
-	curRaw   [][]byte
 	curPref  []pepPrefEntry
 	degraded int // total loads degraded to on-demand so far
 }
@@ -109,11 +107,11 @@ func (c *numberCursor) fetchPage(ctx context.Context, from []byte) pageData {
 	}
 	pd.from, pd.done = pg.from, pg.done
 	if len(pd.cks) > 0 && c.prefetch != nil {
-		pd.raw = make([][]byte, len(pd.cks))
+		raw := make([][]byte, len(pd.cks))
 		for i, ck := range pd.cks {
-			pd.raw[i] = ck.Bytes()
+			raw[i] = ck.Bytes()
 		}
-		pd.pref, pd.degraded = c.prefetch(ctx, pd.raw)
+		pd.pref, pd.degraded = c.prefetch(ctx, raw)
 	}
 	return pd
 }
@@ -155,7 +153,7 @@ func (c *numberCursor) next() bool {
 		}
 		c.page, c.pos = pd.cks, 0
 		c.from, c.done = pd.from, pd.done
-		c.curRaw, c.curPref = pd.raw, pd.pref
+		c.curPref = pd.pref
 		c.degraded += pd.degraded
 		if !c.done {
 			// Double-buffer: fetch the next page while the caller works
@@ -230,9 +228,10 @@ type EventCursor struct {
 	nc       *numberCursor
 	s        *SubRun
 	selector []ProductSelector
-	// prefetched maps a raw event key to label#type -> bytes for the
-	// current page.
-	prefetched map[string]map[string][]byte
+	// pref is the current event's run of the page's prefetched entries;
+	// prefAt is where the next event's run starts.
+	pref   []pepPrefEntry
+	prefAt int
 }
 
 // EventCursor creates a cursor over the subrun's events. Selectors, if
@@ -261,35 +260,19 @@ func (c *EventCursor) Next() bool {
 	if !c.nc.next() {
 		return false
 	}
-	// pos == 1 exactly when a new page was installed: rebuild its cache.
-	if len(c.selector) > 0 && c.nc.pos == 1 {
-		c.buildPageCache()
+	if len(c.selector) > 0 {
+		if c.nc.pos == 1 { // a new page was installed
+			c.prefAt = 0
+		}
+		c.pref, c.prefAt = prefRun(c.nc.curPref, c.prefAt, c.nc.pos-1)
 	}
 	return true
 }
 
-// buildPageCache indexes the installed page's prefetch entries by raw key.
-func (c *EventCursor) buildPageCache() {
-	c.prefetched = make(map[string]map[string][]byte, len(c.nc.page))
-	for _, e := range c.nc.curPref {
-		ck := string(c.nc.curRaw[e.EventIdx])
-		m := c.prefetched[ck]
-		if m == nil {
-			m = make(map[string][]byte)
-			c.prefetched[ck] = m
-		}
-		m[e.LabelType] = e.Data
-	}
-}
-
 // Event returns the current event handle (with any prefetched products).
 func (c *EventCursor) Event() *Event {
-	var pref map[string][]byte
-	if c.prefetched != nil {
-		pref = c.prefetched[string(c.nc.current.Bytes())]
-	}
 	return &Event{
-		container: container{ds: c.nc.ds, key: c.nc.current, prefetched: pref},
+		container: container{ds: c.nc.ds, key: c.nc.current, prefetched: c.pref, prefSel: c.selector},
 		subrun:    c.s,
 	}
 }

@@ -124,7 +124,7 @@ func TestEventCursorPrefetch(t *testing.T) {
 		}
 		// Prefetched products are served locally even for this check —
 		// assert the cache is populated.
-		if ev.prefetched == nil {
+		if len(ev.prefetched) == 0 {
 			t.Fatalf("event %d has no prefetched products", ev.Number())
 		}
 		n++

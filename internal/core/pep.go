@@ -9,6 +9,7 @@ import (
 	"github.com/hep-on-hpc/hepnos-go/internal/mpi"
 	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 	"github.com/hep-on-hpc/hepnos-go/internal/serde"
+	"github.com/hep-on-hpc/hepnos-go/internal/wire"
 	"github.com/hep-on-hpc/hepnos-go/internal/xerr"
 )
 
@@ -35,9 +36,6 @@ type ProductSelector struct {
 func SelectorFor(label string, example any) ProductSelector {
 	return ProductSelector{Label: label, Type: serde.TypeName(example)}
 }
-
-// key returns the prefetch cache key.
-func (s ProductSelector) key() string { return s.Label + "#" + s.Type }
 
 // PEPOptions tunes the ParallelEventProcessor. Defaults follow §IV-D of
 // the paper: events are loaded from HEPnOS by a subset of processes in
@@ -116,10 +114,14 @@ type pepWorkMsg struct {
 	Failover uint32
 }
 
+// pepPrefEntry is one prefetched product: the bytes of selector Sel
+// (an index into the Prefetcher's selectors) for event EventIdx of the
+// batch. A batch's entries are in (EventIdx, Sel) order, so each event's
+// products are one contiguous run of them.
 type pepPrefEntry struct {
-	EventIdx  uint32
-	LabelType string
-	Data      []byte
+	EventIdx uint32
+	Sel      uint32
+	Data     []byte
 }
 
 // ProcessEvents iterates over all events of the dataset in parallel across
@@ -205,14 +207,19 @@ func (ds *DataStore) pepReader(ctx context.Context, comm *mpi.Comm, dataset *Dat
 			}
 			doneSent++
 		}
-		payload, err := serde.Marshal(msg)
+		// Send copies the payload, so the encode buffer goes straight
+		// back to the pool.
+		buf := wire.Acquire(16 << 10)
+		payload, err := serde.MarshalAppend(buf.B, &msg)
 		if err != nil {
 			// Serialization of our own message types cannot fail; treat
 			// as fatal for this reader by reporting done.
-			payload, _ = serde.Marshal(pepWorkMsg{Done: true})
+			payload, _ = serde.MarshalAppend(buf.B[:0], &pepWorkMsg{Done: true})
 			doneSent++
 		}
+		buf.B = payload
 		comm.Send(src, tagPEPWorkResp, payload)
+		buf.Release()
 	}
 	loadWG.Wait()
 }
@@ -311,12 +318,15 @@ func (ds *DataStore) pepWorker(ctx context.Context, comm *mpi.Comm, opts PEPOpti
 		reader := alive[next%len(alive)]
 		comm.Send(reader, tagPEPWorkReq, nil)
 		payload, _ := comm.Recv(reader, tagPEPWorkResp)
-		var msg pepWorkMsg
-		if err := serde.Unmarshal(payload, &msg); err != nil {
+		msg, evs, err := ds.decodeWorkBatch(payload, opts.Prefetch)
+		if err != nil {
+			// The batch is lost, but the reader is still serving: keep
+			// asking it until its Done arrives, or its server loop waits
+			// for this rank forever.
 			if firstErr == nil {
 				firstErr = fmt.Errorf("hepnos: corrupt work batch: %w", err)
 			}
-			msg.Done = true
+			continue
 		}
 		if msg.Done {
 			if len(msg.Err) > 0 && firstErr == nil {
@@ -338,27 +348,9 @@ func (ds *DataStore) pepWorker(ctx context.Context, comm *mpi.Comm, opts PEPOpti
 		stats.LocalDegraded += int(msg.Degraded) + int(msg.Failover)
 		stats.LocalFailover += int(msg.Failover)
 		ds.pepBatches.Add(1)
-		// Rebuild per-event prefetch maps.
-		var pref map[int]map[string][]byte
-		if len(msg.Pref) > 0 {
-			pref = make(map[int]map[string][]byte)
-			for _, e := range msg.Pref {
-				m := pref[int(e.EventIdx)]
-				if m == nil {
-					m = make(map[string][]byte)
-					pref[int(e.EventIdx)] = m
-				}
-				m[e.LabelType] = e.Data
-			}
-		}
-		for i, raw := range msg.Keys {
-			ck, err := keys.ParseContainerKey(raw)
-			if err != nil {
-				continue
-			}
-			ev := ds.eventFromKey(ck, pref[i])
+		for i := range evs {
 			if firstErr == nil {
-				if err := fn(ev); err != nil {
+				if err := fn(&evs[i]); err != nil {
 					firstErr = err // keep draining so readers terminate
 				}
 			}
@@ -373,4 +365,44 @@ func (ds *DataStore) pepWorker(ctx context.Context, comm *mpi.Comm, opts PEPOpti
 		stats.LocalStart, stats.LocalEnd = now, now
 	}
 	return stats, firstErr
+}
+
+// decodeWorkBatch is the worker's half of a work batch. The payload is the
+// worker's own copy (mpi.Send copies), so the decode borrows it: keys and
+// prefetched products are views into it. A batch of events then becomes its
+// Event handles, each holding its run of the batch's prefetched entries.
+// The entries crossed the wire, so they are checked before any is attached:
+// in strictly increasing (event, selector) order, every event index below
+// len(Keys) and every selector below len(sel). A batch that fails is
+// corrupt as a whole; no entry of it ever reaches another event. Keys that
+// do not parse are skipped.
+func (ds *DataStore) decodeWorkBatch(payload []byte, sel []ProductSelector) (pepWorkMsg, []Event, error) {
+	var msg pepWorkMsg
+	if err := serde.UnmarshalBorrow(payload, &msg); err != nil || msg.Done {
+		return msg, nil, err
+	}
+	for i, e := range msg.Pref {
+		if int(e.EventIdx) >= len(msg.Keys) || int(e.Sel) >= len(sel) {
+			return msg, nil, fmt.Errorf("%w: prefetch entry %d is event %d selector %d of %d events and %d selectors",
+				serde.ErrCorrupt, i, e.EventIdx, e.Sel, len(msg.Keys), len(sel))
+		}
+		if i > 0 {
+			if p := msg.Pref[i-1]; e.EventIdx < p.EventIdx || e.EventIdx == p.EventIdx && e.Sel <= p.Sel {
+				return msg, nil, fmt.Errorf("%w: prefetch entry %d (event %d selector %d) is out of order",
+					serde.ErrCorrupt, i, e.EventIdx, e.Sel)
+			}
+		}
+	}
+	evs := make([]Event, 0, len(msg.Keys))
+	at := 0
+	for i, raw := range msg.Keys {
+		var run []pepPrefEntry
+		run, at = prefRun(msg.Pref, at, i)
+		ck, err := keys.ParseContainerKey(raw)
+		if err != nil {
+			continue
+		}
+		evs = append(evs, Event{container: container{ds: ds, key: ck, prefetched: run, prefSel: sel}})
+	}
+	return msg, evs, nil
 }

@@ -41,19 +41,15 @@ type prefetchGroup struct {
 	db       yokan.DBHandle
 	fallback []yokan.DBHandle
 	keys     [][]byte
-	slots    []prefetchSlot
+	pos      []int // per key, its (event, selector) position: event*len(sel) + selector
 	fo       int
 }
 
-type prefetchSlot struct {
-	eventIdx  int
-	labelType string
-}
-
 // Fetch bulk-loads the selected products for evKeys (raw event container
-// keys). It returns the entries found, the number of product loads that
-// degraded to on-demand because every replica of their group failed, and
-// the number served from a replica instead of the placement primary.
+// keys). It returns the entries found, in (event, selector) order, the
+// number of product loads that degraded to on-demand because every replica
+// of their group failed, and the number served from a replica instead of
+// the placement primary.
 func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry, int, int) {
 	if len(p.sel) == 0 || len(evKeys) == 0 {
 		return nil, 0, 0
@@ -95,12 +91,12 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 		if db != replicas[0] {
 			g.fo += len(p.sel)
 		}
-		for _, s := range p.sel {
+		for si, s := range p.sel {
 			id := keys.ProductID{Container: ck, Label: s.Label, Type: s.Type}
 			kb := id.AppendEncode(scratch.B[:0])
 			scratch.B = kb
 			g.keys = append(g.keys, seg.Append(kb))
-			g.slots = append(g.slots, prefetchSlot{eventIdx: i, labelType: s.key()})
+			g.pos = append(g.pos, i*len(p.sel)+si)
 		}
 	}
 	// Submit every group, then collect: the groups overlap on the RPC pool.
@@ -111,7 +107,10 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 		bulk := len(g.keys) >= 32
 		evs[i] = p.ds.yc.GetMultiAsync(ctx, p.ds.engine, g.db, g.keys, bulk)
 	}
-	var out []pepPrefEntry
+	// Every found product lands at its (event, selector) position, so the
+	// result is in event order whatever order the groups come back in.
+	out := make([]pepPrefEntry, len(evKeys)*len(p.sel))
+	found := make([]bool, len(out))
 	degraded, failover := 0, 0
 	var stragglers []*asyncengine.Eventual[yokan.GetMultiResult]
 	for i, g := range groups {
@@ -161,13 +160,19 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 			// res.Vals[j] is a borrowed view into the group's single
 			// GetMulti response buffer (GC-owned): the prefetched products
 			// of one group share one contiguous allocation.
-			out = append(out, pepPrefEntry{
-				EventIdx:  uint32(g.slots[j].eventIdx),
-				LabelType: g.slots[j].labelType,
-				Data:      res.Vals[j],
-			})
+			pos := g.pos[j]
+			out[pos] = pepPrefEntry{EventIdx: uint32(pos / len(p.sel)), Sel: uint32(pos % len(p.sel)), Data: res.Vals[j]}
+			found[pos] = true
 		}
 	}
+	n := 0
+	for pos := range out {
+		if found[pos] {
+			out[n] = out[pos]
+			n++
+		}
+	}
+	out = out[:n]
 	if len(stragglers) == 0 {
 		seg.Release()
 	} else {
@@ -185,4 +190,15 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 	p.ds.prefetchDegraded.Add(int64(degraded))
 	p.ds.failoverReads.Add(int64(failover))
 	return out, degraded, failover
+}
+
+// prefRun returns event i's run of entries in (event, selector) order,
+// given that the runs of the events before i end at pref[at], and the
+// position after it. Walking i upwards partitions a batch with no index.
+func prefRun(pref []pepPrefEntry, at, i int) ([]pepPrefEntry, int) {
+	end := at
+	for end < len(pref) && int(pref[end].EventIdx) == i {
+		end++
+	}
+	return pref[at:end:end], end
 }

@@ -23,14 +23,14 @@ func repEvent() nova.Event {
 	return ev
 }
 
-// Locked allocation budgets. These are regression gates: the measured
-// values at the time of the wire-path refactor plus small headroom. If a
-// serde change pushes past them, either the change is a regression or the
-// budget must be consciously re-locked.
+// Locked allocation budgets. These are regression gates, locked at the
+// counts measured with the compiled codecs. If a serde change pushes past
+// them, either the change is a regression or the budget must be
+// consciously re-locked.
 const (
-	budgetMarshal       = 4 // measured 2: exact-size copy + reflection boxing
-	budgetMarshalAppend = 2 // measured 1: reflection boxing only
-	budgetUnmarshal     = 6 // measured 3: slice alloc + boxing
+	budgetMarshal       = 2 // exact-size copy + boxing the value into any
+	budgetMarshalAppend = 1 // boxing only
+	budgetUnmarshal     = 2 // the Slices array + boxing the target
 )
 
 func TestAllocBudgetSerde(t *testing.T) {
@@ -74,6 +74,34 @@ func TestAllocBudgetSerde(t *testing.T) {
 	if u > budgetUnmarshal {
 		t.Errorf("Unmarshal allocs/op = %.1f, budget %d", u, budgetUnmarshal)
 	}
+}
+
+// BenchmarkSliceProduct times the row codec on the representative 4-slice
+// product, the unit select-mem decodes once per event.
+func BenchmarkSliceProduct(b *testing.B) {
+	slices := repEvent().Slices
+	data, err := serde.Marshal(slices)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for b.Loop() {
+			if buf, err = serde.MarshalAppend(buf[:0], slices); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		var out []nova.Slice
+		for b.Loop() {
+			if err := serde.Unmarshal(data, &out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestUnmarshalBorrowAliases pins the zero-copy decode contract: []byte

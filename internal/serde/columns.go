@@ -19,9 +19,9 @@ import (
 // which keeps the two representations mutually convertible and lets the
 // fuzz suite pin their agreement byte for byte.
 //
-// Column schemas are derived from the same cached structPlans the row path
-// walks, so a type's row and columnar views can never disagree about which
-// fields exist or in what order.
+// Column schemas are derived from the same structPlan the row codec is
+// compiled from, so a type's row and columnar views can never disagree
+// about which fields exist or in what order.
 
 // ColKind is the wire kind of one column.
 type ColKind uint8
@@ -165,7 +165,7 @@ func deriveColumnSchema(t reflect.Type) (*ColumnSchema, error) {
 	}
 	// A Custom serializer owns its own wire format; the archive never walks
 	// the plan for such a type, so no column layout can be derived from it.
-	if reflect.PointerTo(elem).Implements(customType) {
+	if isCustom(elem) {
 		return nil, fmt.Errorf("%w: columnar element %s has a custom serializer", ErrUnsupported, elem)
 	}
 	plan := planFor(elem)
@@ -191,7 +191,7 @@ func deriveColumnSchema(t reflect.Type) (*ColumnSchema, error) {
 }
 
 func colKindOf(t reflect.Type) (ColKind, error) {
-	if reflect.PointerTo(t).Implements(customType) {
+	if isCustom(t) {
 		return colInvalid, fmt.Errorf("%w: custom-serialized field type %s", ErrUnsupported, t)
 	}
 	switch t.Kind() {
@@ -323,7 +323,7 @@ func (s *ColumnSchema) AppendColumn(dst []byte, f int, v any) ([]byte, int, erro
 	return dst, rows, nil
 }
 
-// appendColValue encodes one field value exactly as Archive.value would.
+// appendColValue encodes one field value exactly as the row codec would.
 func appendColValue(dst []byte, kind ColKind, fv reflect.Value) []byte {
 	switch kind {
 	case ColBool:

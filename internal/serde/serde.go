@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"sync"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/wire"
@@ -77,6 +76,9 @@ func Marshal(v any) ([]byte, error) {
 // result back, so repeated encodes reuse one buffer.
 func MarshalAppend(dst []byte, v any) ([]byte, error) {
 	rv := reflect.ValueOf(v)
+	if !rv.IsValid() {
+		return nil, fmt.Errorf("%w: Marshal of nil", ErrUnsupported)
+	}
 	// A top-level pointer is the caller's way of handing over the value,
 	// not part of the encoded type: Marshal(&v) and Marshal(v) produce
 	// identical bytes, matching what Unmarshal(data, &v) expects on the
@@ -87,10 +89,11 @@ func MarshalAppend(dst []byte, v any) ([]byte, error) {
 		}
 		rv = rv.Elem()
 	}
+	c := codecFor(rv.Type())
 	ar := getArchive()
 	ar.Saving = true
 	ar.buf = dst
-	err := ar.value(rv)
+	err := c.enc(ar, rv)
 	out := ar.buf
 	putArchive(ar)
 	if err != nil {
@@ -122,10 +125,11 @@ func unmarshal(data []byte, ptr any, borrow bool) error {
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return fmt.Errorf("serde: Unmarshal target must be a non-nil pointer, got %T", ptr)
 	}
+	c := codecFor(rv.Type().Elem())
 	ar := getArchive()
 	ar.buf = data
 	ar.borrow = borrow
-	err := ar.value(rv.Elem())
+	err := c.dec(ar, rv.Elem())
 	off := ar.off
 	putArchive(ar)
 	if err != nil {
@@ -274,315 +278,21 @@ func (ar *Archive) Float32(v *float32) error {
 	return nil
 }
 
-// Value serializes any supported Go value through reflection; v must be a
-// pointer to the value. This is the "ar & x" of the Boost idiom.
+// Value serializes any supported Go value through its compiled codec; v
+// must be a pointer to the value. This is the "ar & x" of the Boost idiom.
 func (ar *Archive) Value(v any) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return fmt.Errorf("serde: Archive.Value needs a non-nil pointer, got %T", v)
 	}
-	return ar.value(rv.Elem())
-}
-
-var customType = reflect.TypeOf((*Custom)(nil)).Elem()
-
-func (ar *Archive) value(v reflect.Value) error {
-	// Custom serializers take priority, matching Boost's dispatch on the
-	// presence of a serialize() member.
-	if reflect.PointerTo(v.Type()).Implements(customType) {
-		if !v.CanAddr() {
-			// Top-level Marshal of a non-pointer value: work on an
-			// addressable copy (saving only reads it anyway).
-			tmp := reflect.New(v.Type())
-			tmp.Elem().Set(v)
-			v = tmp.Elem()
-		}
-		return v.Addr().Interface().(Custom).Serialize(ar)
-	}
-
-	switch v.Kind() {
-	case reflect.Bool:
-		if ar.Saving {
-			b := v.Bool()
-			return ar.Bool(&b)
-		}
-		var b bool
-		if err := ar.Bool(&b); err != nil {
-			return err
-		}
-		v.SetBool(b)
-		return nil
-
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if ar.Saving {
-			i := v.Int()
-			return ar.Int64(&i)
-		}
-		var i int64
-		if err := ar.Int64(&i); err != nil {
-			return err
-		}
-		if v.OverflowInt(i) {
-			return fmt.Errorf("%w: value %d overflows %s", ErrCorrupt, i, v.Type())
-		}
-		v.SetInt(i)
-		return nil
-
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		if ar.Saving {
-			u := v.Uint()
-			return ar.Uint64(&u)
-		}
-		var u uint64
-		if err := ar.Uint64(&u); err != nil {
-			return err
-		}
-		if v.OverflowUint(u) {
-			return fmt.Errorf("%w: value %d overflows %s", ErrCorrupt, u, v.Type())
-		}
-		v.SetUint(u)
-		return nil
-
-	case reflect.Float32:
-		if ar.Saving {
-			f := float32(v.Float())
-			return ar.Float32(&f)
-		}
-		var f float32
-		if err := ar.Float32(&f); err != nil {
-			return err
-		}
-		v.SetFloat(float64(f))
-		return nil
-
-	case reflect.Float64:
-		if ar.Saving {
-			f := v.Float()
-			return ar.Float64(&f)
-		}
-		var f float64
-		if err := ar.Float64(&f); err != nil {
-			return err
-		}
-		v.SetFloat(f)
-		return nil
-
-	case reflect.String:
-		if ar.Saving {
-			s := v.String()
-			return ar.String(&s)
-		}
-		var s string
-		if err := ar.String(&s); err != nil {
-			return err
-		}
-		v.SetString(s)
-		return nil
-
-	case reflect.Slice:
-		return ar.sliceValue(v)
-
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if err := ar.value(v.Index(i)); err != nil {
-				return fmt.Errorf("array index %d: %w", i, err)
-			}
-		}
-		return nil
-
-	case reflect.Map:
-		return ar.mapValue(v)
-
-	case reflect.Pointer:
-		return ar.pointerValue(v)
-
-	case reflect.Struct:
-		return ar.structValue(v)
-
-	default:
-		return fmt.Errorf("%w: %s", ErrUnsupported, v.Kind())
-	}
-}
-
-func (ar *Archive) sliceValue(v reflect.Value) error {
-	// []byte fast path.
-	if v.Type().Elem().Kind() == reflect.Uint8 {
-		if ar.Saving {
-			b := v.Bytes()
-			return ar.Bytes(&b)
-		}
-		var b []byte
-		if err := ar.Bytes(&b); err != nil {
-			return err
-		}
-		v.SetBytes(b)
-		return nil
-	}
+	c := codecFor(rv.Type().Elem())
 	if ar.Saving {
-		ar.putUvarint(uint64(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			if err := ar.value(v.Index(i)); err != nil {
-				return fmt.Errorf("slice index %d: %w", i, err)
-			}
-		}
-		return nil
+		return c.enc(ar, rv.Elem())
 	}
-	n, err := ar.getUvarint()
-	if err != nil {
-		return err
-	}
-	if n > uint64(len(ar.buf)-ar.off) {
-		// Every element takes at least one byte; a length beyond the
-		// remaining input is certainly corrupt and must not trigger a
-		// huge allocation.
-		return fmt.Errorf("%w: slice length %d exceeds input", ErrCorrupt, n)
-	}
-	out := reflect.MakeSlice(v.Type(), int(n), int(n))
-	for i := 0; i < int(n); i++ {
-		if err := ar.value(out.Index(i)); err != nil {
-			return fmt.Errorf("slice index %d: %w", i, err)
-		}
-	}
-	v.Set(out)
-	return nil
+	return c.dec(ar, rv.Elem())
 }
 
-func (ar *Archive) mapValue(v reflect.Value) error {
-	if ar.Saving {
-		keys := v.MapKeys()
-		// Sort keys for a deterministic encoding; unordered map bytes
-		// would break value-equality checks on stored products.
-		sort.Slice(keys, func(i, j int) bool { return lessValue(keys[i], keys[j]) })
-		ar.putUvarint(uint64(len(keys)))
-		for _, k := range keys {
-			kc := reflect.New(v.Type().Key()).Elem()
-			kc.Set(k)
-			if err := ar.value(kc); err != nil {
-				return fmt.Errorf("map key: %w", err)
-			}
-			ec := reflect.New(v.Type().Elem()).Elem()
-			ec.Set(v.MapIndex(k))
-			if err := ar.value(ec); err != nil {
-				return fmt.Errorf("map value: %w", err)
-			}
-		}
-		return nil
-	}
-	n, err := ar.getUvarint()
-	if err != nil {
-		return err
-	}
-	if n > uint64(len(ar.buf)-ar.off) {
-		return fmt.Errorf("%w: map length %d exceeds input", ErrCorrupt, n)
-	}
-	out := reflect.MakeMapWithSize(v.Type(), int(n))
-	for i := 0; i < int(n); i++ {
-		k := reflect.New(v.Type().Key()).Elem()
-		if err := ar.value(k); err != nil {
-			return fmt.Errorf("map key: %w", err)
-		}
-		e := reflect.New(v.Type().Elem()).Elem()
-		if err := ar.value(e); err != nil {
-			return fmt.Errorf("map value: %w", err)
-		}
-		out.SetMapIndex(k, e)
-	}
-	v.Set(out)
-	return nil
-}
-
-func (ar *Archive) pointerValue(v reflect.Value) error {
-	if ar.Saving {
-		if v.IsNil() {
-			ar.buf = append(ar.buf, 0)
-			return nil
-		}
-		ar.buf = append(ar.buf, 1)
-		return ar.value(v.Elem())
-	}
-	if ar.off >= len(ar.buf) {
-		return fmt.Errorf("%w: truncated pointer flag", ErrCorrupt)
-	}
-	flag := ar.buf[ar.off]
-	ar.off++
-	switch flag {
-	case 0:
-		v.SetZero()
-		return nil
-	case 1:
-		v.Set(reflect.New(v.Type().Elem()))
-		return ar.value(v.Elem())
-	default:
-		return fmt.Errorf("%w: pointer flag %#x", ErrCorrupt, flag)
-	}
-}
-
-// structPlan caches, per struct type, the indexes of the fields the archive
-// walks (exported, not tagged `serde:"-"`). Reflection inspects each type
-// once; every later encode/decode of that type skips the NumField walk, the
-// exported check and the tag lookup.
-type structPlan struct {
-	fields []int
-	names  []string // for error messages, parallel to fields
-}
-
-var structPlans sync.Map // reflect.Type -> *structPlan
-
-func planFor(t reflect.Type) *structPlan {
-	if p, ok := structPlans.Load(t); ok {
-		return p.(*structPlan)
-	}
-	p := &structPlan{}
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue // unexported fields are transient, like Boost's untracked members
-		}
-		if f.Tag.Get("serde") == "-" {
-			continue
-		}
-		p.fields = append(p.fields, i)
-		p.names = append(p.names, f.Name)
-	}
-	actual, _ := structPlans.LoadOrStore(t, p)
-	return actual.(*structPlan)
-}
-
-func (ar *Archive) structValue(v reflect.Value) error {
-	t := v.Type()
-	plan := planFor(t)
-	for i, fi := range plan.fields {
-		if err := ar.value(v.Field(fi)); err != nil {
-			return fmt.Errorf("field %s.%s: %w", t.Name(), plan.names[i], err)
-		}
-	}
-	return nil
-}
-
-// lessValue orders comparable reflect values for deterministic map output.
-func lessValue(a, b reflect.Value) bool {
-	switch a.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return a.Int() < b.Int()
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return a.Uint() < b.Uint()
-	case reflect.Float32, reflect.Float64:
-		return a.Float() < b.Float()
-	case reflect.String:
-		return a.String() < b.String()
-	case reflect.Bool:
-		return !a.Bool() && b.Bool()
-	default:
-		// Fall back to the formatted value; slower but still deterministic.
-		return fmt.Sprint(a.Interface()) < fmt.Sprint(b.Interface())
-	}
-}
-
-func (ar *Archive) putUvarint(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	ar.buf = append(ar.buf, b[:n]...)
-}
+func (ar *Archive) putUvarint(v uint64) { ar.buf = binary.AppendUvarint(ar.buf, v) }
 
 func (ar *Archive) getUvarint() (uint64, error) {
 	v, n := binary.Uvarint(ar.buf[ar.off:])
