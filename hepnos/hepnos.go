@@ -61,7 +61,8 @@ type (
 	// Prefetcher bulk-loads selected products for event-key batches,
 	// fanning per-database groups out on the AsyncEngine.
 	Prefetcher = core.Prefetcher
-	// PEPOptions tunes ProcessEvents (the ParallelEventProcessor).
+	// PEPOptions tunes ProcessEvents (the ParallelEventProcessor). Its
+	// Prefetch list must be identical, in order, on every rank.
 	PEPOptions = core.PEPOptions
 	// PEPStats reports a ProcessEvents execution.
 	PEPStats = core.PEPStats

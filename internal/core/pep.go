@@ -52,7 +52,8 @@ type PEPOptions struct {
 	// "typically as many readers as databases to read from".
 	Readers int
 	// Prefetch lists products to fetch in bulk with the events and ship
-	// inside work batches.
+	// inside work batches. Every rank must pass the same list, in the same
+	// order: a batch entry names its selector by position in the list.
 	Prefetch []ProductSelector
 }
 

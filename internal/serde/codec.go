@@ -18,15 +18,37 @@ import (
 // Scalars and structs of scalars additionally get a flat layout — field
 // offsets and operations — that moves their bytes without reflect.Value.
 
-// codec is the compiled encoder and decoder of one Go type. enc accepts any
-// value of the type; dec needs an addressable one, which every decode target
-// is (it is reached through the caller's pointer).
+// codec is the compiled encoder and decoder of one Go type. Both take an
+// addressable value: a decode target is reached through the caller's
+// pointer, and a value to encode is reached through a pointer, a slice, a
+// struct or array that is itself addressable, or else through encAny.
 type codec struct {
 	enc func(ar *Archive, v reflect.Value) error
 	dec func(ar *Archive, v reflect.Value) error
 	// flat is set for a scalar and for a struct whose serialized fields are
 	// all scalars, none of them Custom.
 	flat *flatLayout
+	// direct is set when enc also accepts a value without an address:
+	// strings, slices, maps and pointers, whose encoders read only the
+	// header.
+	direct bool
+	temps  sync.Pool // *T, addressable copies for encAny
+}
+
+// encAny encodes v, which may lack an address: a value handed to Marshal
+// by value, or a map entry. Unless the codec is direct, v is first copied
+// into a pooled temporary of its type, since the encoder reads its memory.
+func (c *codec) encAny(ar *Archive, v reflect.Value) error {
+	if c.direct || v.CanAddr() {
+		return c.enc(ar, v)
+	}
+	p := c.temps.Get()
+	tmp := reflect.ValueOf(p).Elem()
+	tmp.Set(v)
+	err := c.enc(ar, tmp)
+	tmp.SetZero() // a pooled copy must not keep v's strings and slices alive
+	c.temps.Put(p)
+	return err
 }
 
 var (
@@ -68,35 +90,38 @@ func (cp *compiler) compile(t reflect.Type) *codec {
 		return c
 	}
 	c := &codec{}
+	c.temps.New = func() any { return reflect.New(t).Interface() }
 	cp.pending[t] = c
 	// Custom serializers take priority, matching Boost's dispatch on the
 	// presence of a serialize() member.
 	if isCustom(t) {
-		c.enc = customCodec(t)
-		c.dec = c.enc
+		c.enc = customCodec
+		c.dec = customCodec
 		return c
 	}
 	if op, ok := scalarOp(t); ok {
-		c.flat = &flatLayout{fields: []flatField{{op: op, typ: t}}}
-		c.enc = scalarEncoder(op)
-		c.dec = c.flat.decodeValue
+		c.flat = &scalarLayouts[op]
+		c.enc, c.dec = c.flat.encodeValue, c.flat.decodeValue
 		return c
 	}
 	switch t.Kind() {
 	case reflect.String:
-		c.enc, c.dec = encodeString, decodeString
+		c.enc, c.dec, c.direct = encodeString, decodeString, true
 	case reflect.Slice:
 		if t.Elem().Kind() == reflect.Uint8 {
 			c.enc, c.dec = encodeBytes, decodeBytes
 		} else {
 			cp.compileSlice(c, t)
 		}
+		c.direct = true
 	case reflect.Array:
 		cp.compileArray(c, t)
 	case reflect.Map:
 		cp.compileMap(c, t)
+		c.direct = true
 	case reflect.Pointer:
 		cp.compilePointer(c, t)
+		c.direct = true
 	case reflect.Struct:
 		cp.compileStruct(c, t)
 	default:
@@ -111,17 +136,8 @@ var customType = reflect.TypeOf((*Custom)(nil)).Elem()
 
 func isCustom(t reflect.Type) bool { return reflect.PointerTo(t).Implements(customType) }
 
-func customCodec(t reflect.Type) func(*Archive, reflect.Value) error {
-	return func(ar *Archive, v reflect.Value) error {
-		if !v.CanAddr() {
-			// Saving a value reached without an address (Marshal by value,
-			// a map entry): Serialize needs a pointer, and only reads it.
-			tmp := reflect.New(t).Elem()
-			tmp.Set(v)
-			v = tmp
-		}
-		return v.Addr().Interface().(Custom).Serialize(ar)
-	}
+func customCodec(ar *Archive, v reflect.Value) error {
+	return v.Addr().Interface().(Custom).Serialize(ar)
 }
 
 func encodeString(ar *Archive, v reflect.Value) error {
@@ -182,7 +198,7 @@ func (cp *compiler) compileSlice(c *codec, t reflect.Type) {
 			setFreshSlice(v, n, empty)
 			p := v.UnsafePointer()
 			for i := 0; i < n; i++ {
-				if err := fl.decode(ar, unsafe.Add(p, uintptr(i)*size)); err != nil {
+				if ar.off, err = fl.decode(ar.buf, ar.off, unsafe.Add(p, uintptr(i)*size)); err != nil {
 					return fmt.Errorf("slice index %d: %w", i, err)
 				}
 			}
@@ -314,10 +330,10 @@ func (cp *compiler) compileMap(c *codec, t reflect.Type) {
 		sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
 		ar.putUvarint(uint64(len(keys)))
 		for _, k := range keys {
-			if err := key.enc(ar, k); err != nil {
+			if err := key.encAny(ar, k); err != nil {
 				return fmt.Errorf("map key: %w", err)
 			}
-			if err := elem.enc(ar, v.MapIndex(k)); err != nil {
+			if err := elem.encAny(ar, v.MapIndex(k)); err != nil {
 				return fmt.Errorf("map value: %w", err)
 			}
 		}
@@ -434,16 +450,21 @@ func (cp *compiler) compileStruct(c *codec, t reflect.Type) {
 		fields[i] = cp.compile(sf.Type)
 		if op, ok := scalarOp(sf.Type); ok && flat != nil && !isCustom(sf.Type) {
 			flat.fields = append(flat.fields, flatField{
-				off: sf.Offset, op: op, typ: sf.Type, owner: t.Name(), name: plan.names[i],
+				off: sf.Offset, op: op, owner: t.Name(), name: plan.names[i],
 			})
 		} else {
 			flat = nil
 		}
 	}
+	if flat != nil {
+		c.flat = flat
+		c.enc, c.dec = flat.encodeValue, flat.decodeValue
+		return
+	}
 	fieldErr := func(i int, err error) error {
 		return fmt.Errorf("field %s.%s: %w", t.Name(), plan.names[i], err)
 	}
-	encFields := func(ar *Archive, v reflect.Value) error {
+	c.enc = func(ar *Archive, v reflect.Value) error {
 		for i, fi := range plan.fields {
 			if err := fields[i].enc(ar, v.Field(fi)); err != nil {
 				return fieldErr(i, err)
@@ -451,27 +472,14 @@ func (cp *compiler) compileStruct(c *codec, t reflect.Type) {
 		}
 		return nil
 	}
-	if flat == nil {
-		c.enc = encFields
-		c.dec = func(ar *Archive, v reflect.Value) error {
-			for i, fi := range plan.fields {
-				if err := fields[i].dec(ar, v.Field(fi)); err != nil {
-					return fieldErr(i, err)
-				}
+	c.dec = func(ar *Archive, v reflect.Value) error {
+		for i, fi := range plan.fields {
+			if err := fields[i].dec(ar, v.Field(fi)); err != nil {
+				return fieldErr(i, err)
 			}
-			return nil
 		}
-		return
-	}
-	c.flat = flat
-	c.enc = func(ar *Archive, v reflect.Value) error {
-		if !v.CanAddr() {
-			return encFields(ar, v) // no memory to read offsets from: go field by field
-		}
-		ar.buf = flat.encode(ar.buf, v.Addr().UnsafePointer())
 		return nil
 	}
-	c.dec = flat.decodeValue
 }
 
 // flatOp is the precompiled wire operation of one scalar field.
@@ -509,36 +517,73 @@ func scalarOp(t reflect.Type) (flatOp, bool) {
 	return 0, false
 }
 
-// scalarEncoder encodes a scalar through reflect.Value, which needs no
-// address — the path for scalars saved by value or as map entries.
-func scalarEncoder(op flatOp) func(*Archive, reflect.Value) error {
-	switch {
-	case op == opBool:
-		return func(ar *Archive, v reflect.Value) error {
-			b := v.Bool()
-			return ar.Bool(&b)
-		}
-	case op <= opInt64:
-		return func(ar *Archive, v reflect.Value) error {
-			ar.putUvarint(zigzag(v.Int()))
-			return nil
-		}
-	case op <= opUint64:
-		return func(ar *Archive, v reflect.Value) error {
-			ar.putUvarint(v.Uint())
-			return nil
-		}
-	case op == opFloat32:
-		return func(ar *Archive, v reflect.Value) error {
-			f := float32(v.Float())
-			return ar.Float32(&f)
-		}
-	default:
-		return func(ar *Archive, v reflect.Value) error {
-			f := v.Float()
-			return ar.Float64(&f)
-		}
+var opNames = [...]string{
+	opBool: "bool", opInt8: "int8", opInt16: "int16", opInt32: "int32", opInt64: "int64",
+	opUint8: "uint8", opUint16: "uint16", opUint32: "uint32", opUint64: "uint64",
+	opFloat32: "float32", opFloat64: "float64",
+}
+
+// scalarLayouts holds the one-field layout of each op: a lone scalar's
+// codec, the Archive accessors and the numeric columns all move their
+// scalar through it, so flatLayout's encode and decode are the only
+// implementation of the scalar wire rules.
+var scalarLayouts = func() (ls [opFloat64 + 1]flatLayout) {
+	for op := range ls {
+		ls[op].fields = []flatField{{op: flatOp(op)}}
 	}
+	return ls
+}()
+
+// storeInt writes a decoded varint into an integer of the op's width,
+// rejecting values the width cannot hold.
+func storeInt(op flatOp, p unsafe.Pointer, u uint64) error {
+	if op <= opInt64 {
+		i := unzigzag(u)
+		switch op {
+		case opInt8:
+			if int64(int8(i)) != i {
+				return overflow(op, i)
+			}
+			*(*int8)(p) = int8(i)
+		case opInt16:
+			if int64(int16(i)) != i {
+				return overflow(op, i)
+			}
+			*(*int16)(p) = int16(i)
+		case opInt32:
+			if int64(int32(i)) != i {
+				return overflow(op, i)
+			}
+			*(*int32)(p) = int32(i)
+		default:
+			*(*int64)(p) = i
+		}
+		return nil
+	}
+	switch op {
+	case opUint8:
+		if uint64(uint8(u)) != u {
+			return overflow(op, u)
+		}
+		*(*uint8)(p) = uint8(u)
+	case opUint16:
+		if uint64(uint16(u)) != u {
+			return overflow(op, u)
+		}
+		*(*uint16)(p) = uint16(u)
+	case opUint32:
+		if uint64(uint32(u)) != u {
+			return overflow(op, u)
+		}
+		*(*uint32)(p) = uint32(u)
+	default:
+		*(*uint64)(p) = u
+	}
+	return nil
+}
+
+func overflow(op flatOp, v any) error {
+	return fmt.Errorf("%w: value %d overflows %s", ErrCorrupt, v, opNames[op])
 }
 
 // flatLayout is the offset form of a scalar (one field at offset 0) or of a
@@ -550,9 +595,8 @@ type flatLayout struct {
 type flatField struct {
 	off   uintptr
 	op    flatOp
-	typ   reflect.Type // for overflow messages
-	owner string       // struct name and field name for error messages;
-	name  string       // empty for a lone scalar
+	owner string // struct name and field name for error messages;
+	name  string // empty for a lone scalar
 }
 
 func (f *flatField) err(err error) error {
@@ -564,11 +608,14 @@ func (f *flatField) err(err error) error {
 
 // The layouts read and write memory at p plus a field offset. p is the
 // address of a live value of the layout's type — an addressable
-// reflect.Value's or a slice element's — and every offset is a field offset
-// of that type, so each access stays inside the value; the pointer
-// arithmetic is what lets a field move without a reflect.Value per field.
+// reflect.Value's, a slice element's or an Archive accessor's argument —
+// and every offset is a field offset of that type, so each access stays
+// inside the value; the pointer arithmetic is what lets a field move
+// without a reflect.Value per field.
 
-// encode appends the wire form of the value at p to b.
+// encode appends the wire form of the value at p to b. Integers are
+// varints, zig-zagged when signed; a bool is one byte, 0 or 1; a float is
+// its little-endian IEEE bits.
 func (l *flatLayout) encode(b []byte, p unsafe.Pointer) []byte {
 	for i := range l.fields {
 		f := &l.fields[i]
@@ -597,8 +644,9 @@ func (l *flatLayout) encode(b []byte, p unsafe.Pointer) []byte {
 		case opUint64:
 			b = binary.AppendUvarint(b, *(*uint64)(q))
 		case opFloat32:
-			// Through float64 and back, as reflect's Float did: the
-			// round trip quiets a signaling NaN, and the bytes keep that.
+			// Through float64 and back, as stored float32 fields always
+			// were: the round trip quiets a signaling NaN, and the bytes
+			// keep that.
 			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(float64(*(*float32)(q)))))
 		case opFloat64:
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*(*float64)(q)))
@@ -607,40 +655,45 @@ func (l *flatLayout) encode(b []byte, p unsafe.Pointer) []byte {
 	return b
 }
 
-// decodeValue decodes into an addressable value of the layout's type.
-func (l *flatLayout) decodeValue(ar *Archive, v reflect.Value) error {
-	return l.decode(ar, v.Addr().UnsafePointer())
+// encodeValue encodes an addressable value of the layout's type.
+func (l *flatLayout) encodeValue(ar *Archive, v reflect.Value) error {
+	ar.buf = l.encode(ar.buf, v.Addr().UnsafePointer())
+	return nil
 }
 
-// decode reads one value of the layout's type from the archive into p,
-// with the same checks as the Archive accessors: truncation, bool bytes
-// other than 0 and 1, and integers that overflow a narrow field.
-func (l *flatLayout) decode(ar *Archive, p unsafe.Pointer) error {
-	buf, off := ar.buf, ar.off
+// decodeValue decodes into an addressable value of the layout's type.
+func (l *flatLayout) decodeValue(ar *Archive, v reflect.Value) (err error) {
+	ar.off, err = l.decode(ar.buf, ar.off, v.Addr().UnsafePointer())
+	return err
+}
+
+// decode reads one value of the layout's type at buf[off:] into p and
+// returns the offset past it. It rejects truncated input, bool bytes other
+// than 0 and 1, bad varints, and integers that overflow a narrow field.
+func (l *flatLayout) decode(buf []byte, off int, p unsafe.Pointer) (int, error) {
 	for i := range l.fields {
 		f := &l.fields[i]
 		q := unsafe.Add(p, f.off)
 		switch f.op {
 		case opBool:
 			if off >= len(buf) {
-				return f.err(fmt.Errorf("%w: truncated bool", ErrCorrupt))
+				return off, f.err(fmt.Errorf("%w: truncated bool", ErrCorrupt))
 			}
 			c := buf[off]
 			if c > 1 {
-				return f.err(fmt.Errorf("%w: bool byte %#x", ErrCorrupt, c))
+				return off, f.err(fmt.Errorf("%w: bool byte %#x", ErrCorrupt, c))
 			}
 			*(*bool)(q) = c == 1
 			off++
 		case opFloat32:
 			if len(buf)-off < 4 {
-				return f.err(fmt.Errorf("%w: truncated float32", ErrCorrupt))
+				return off, f.err(fmt.Errorf("%w: truncated float32", ErrCorrupt))
 			}
-			// Through float64, as reflect's SetFloat did.
 			*(*float32)(q) = float32(float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))))
 			off += 4
 		case opFloat64:
 			if len(buf)-off < 8 {
-				return f.err(fmt.Errorf("%w: truncated float64", ErrCorrupt))
+				return off, f.err(fmt.Errorf("%w: truncated float64", ErrCorrupt))
 			}
 			*(*float64)(q) = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
@@ -650,66 +703,13 @@ func (l *flatLayout) decode(ar *Archive, p unsafe.Pointer) error {
 			if off < len(buf) && buf[off] < 0x80 {
 				u = uint64(buf[off])
 			} else if u, n = binary.Uvarint(buf[off:]); n <= 0 {
-				return f.err(fmt.Errorf("%w: bad varint", ErrCorrupt))
+				return off, f.err(fmt.Errorf("%w: bad varint", ErrCorrupt))
 			}
 			off += n
-			if err := f.store(q, u); err != nil {
-				return f.err(err)
+			if err := storeInt(f.op, q, u); err != nil {
+				return off, f.err(err)
 			}
 		}
 	}
-	ar.off = off
-	return nil
-}
-
-// store writes a decoded varint into an integer field, rejecting values
-// the field's width cannot hold.
-func (f *flatField) store(q unsafe.Pointer, u uint64) error {
-	if f.op <= opInt64 {
-		i := unzigzag(u)
-		switch f.op {
-		case opInt8:
-			if int64(int8(i)) != i {
-				return f.overflow(i)
-			}
-			*(*int8)(q) = int8(i)
-		case opInt16:
-			if int64(int16(i)) != i {
-				return f.overflow(i)
-			}
-			*(*int16)(q) = int16(i)
-		case opInt32:
-			if int64(int32(i)) != i {
-				return f.overflow(i)
-			}
-			*(*int32)(q) = int32(i)
-		default:
-			*(*int64)(q) = i
-		}
-		return nil
-	}
-	switch f.op {
-	case opUint8:
-		if uint64(uint8(u)) != u {
-			return f.overflow(u)
-		}
-		*(*uint8)(q) = uint8(u)
-	case opUint16:
-		if uint64(uint16(u)) != u {
-			return f.overflow(u)
-		}
-		*(*uint16)(q) = uint16(u)
-	case opUint32:
-		if uint64(uint32(u)) != u {
-			return f.overflow(u)
-		}
-		*(*uint32)(q) = uint32(u)
-	default:
-		*(*uint64)(q) = u
-	}
-	return nil
-}
-
-func (f *flatField) overflow(v any) error {
-	return fmt.Errorf("%w: value %d overflows %s", ErrCorrupt, v, f.typ)
+	return off, nil
 }

@@ -146,7 +146,7 @@ func TestCodecFlatSkipsUnexportedAndTagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byVal, err := Marshal(in) // not addressable: field by field
+	byVal, err := Marshal(in) // not addressable: through a pooled copy
 	if err != nil {
 		t.Fatal(err)
 	}

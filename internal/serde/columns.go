@@ -87,7 +87,8 @@ type ColumnField struct {
 	Name string
 	Kind ColKind
 
-	index int // struct field index in the element type
+	index int    // struct field index in the element type
+	op    flatOp // a numeric kind's scalar layout, in scalarLayouts
 }
 
 // ColumnSchema is the derived per-type column layout: one column per
@@ -184,8 +185,9 @@ func deriveColumnSchema(t reflect.Type) (*ColumnSchema, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w (field %s.%s)", err, elem.Name(), plan.names[i])
 		}
+		op, _ := scalarOp(ft)
 		s.byName[plan.names[i]] = len(s.fields)
-		s.fields = append(s.fields, ColumnField{Name: plan.names[i], Kind: kind, index: fi})
+		s.fields = append(s.fields, ColumnField{Name: plan.names[i], Kind: kind, index: fi, op: op})
 	}
 	return s, nil
 }
@@ -289,7 +291,7 @@ func (s *ColumnSchema) MarshalColumns(seg *wire.Segment, v any, cols [][]byte) (
 		b := scratch.B[:0]
 		fd := &s.fields[f]
 		for i := 0; i < rows; i++ {
-			b = appendColValue(b, fd.Kind, rv.Index(i).Field(fd.index))
+			b = appendColValue(b, fd, rv.Index(i).Field(fd.index))
 		}
 		scratch.B = b
 		cols = append(cols, seg.Append(b))
@@ -318,31 +320,17 @@ func (s *ColumnSchema) AppendColumn(dst []byte, f int, v any) ([]byte, int, erro
 	rows := rv.Len()
 	fd := &s.fields[f]
 	for i := 0; i < rows; i++ {
-		dst = appendColValue(dst, fd.Kind, rv.Index(i).Field(fd.index))
+		dst = appendColValue(dst, fd, rv.Index(i).Field(fd.index))
 	}
 	return dst, rows, nil
 }
 
-// appendColValue encodes one field value exactly as the row codec would.
-func appendColValue(dst []byte, kind ColKind, fv reflect.Value) []byte {
-	switch kind {
-	case ColBool:
-		if fv.Bool() {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
-	case ColInt:
-		return appendUvarint(dst, zigzag(fv.Int()))
-	case ColUint:
-		return appendUvarint(dst, fv.Uint())
-	case ColFloat32:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(float32(fv.Float())))
-		return append(dst, b[:]...)
-	case ColFloat64:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(fv.Float()))
-		return append(dst, b[:]...)
+// appendColValue encodes one field value exactly as the row codec would;
+// fv is a field of a slice element, so it is addressable.
+func appendColValue(dst []byte, fd *ColumnField, fv reflect.Value) []byte {
+	switch kind := fd.Kind; kind {
+	case ColBool, ColInt, ColUint, ColFloat32, ColFloat64:
+		return scalarLayouts[fd.op].encode(dst, fv.Addr().UnsafePointer())
 	case ColString:
 		sv := fv.String()
 		dst = appendUvarint(dst, uint64(len(sv)))
@@ -421,7 +409,7 @@ func (s *ColumnSchema) decodeColumnInto(f int, data []byte, rows int, sl reflect
 	off := 0
 	for i := 0; i < rows; i++ {
 		fv := sl.Index(i).Field(fd.index)
-		n, err := decodeColValue(data, off, fd.Kind, fv)
+		n, err := decodeColValue(data, off, fd, fv)
 		if err != nil {
 			return fmt.Errorf("column %s row %d: %w", fd.Name, i, err)
 		}
@@ -433,53 +421,13 @@ func (s *ColumnSchema) decodeColumnInto(f int, data []byte, rows int, sl reflect
 	return nil
 }
 
-// decodeColValue decodes one value at data[off:] into fv and returns the
-// new offset. ColBytes fields become views into data (borrowed decode).
-func decodeColValue(data []byte, off int, kind ColKind, fv reflect.Value) (int, error) {
-	switch kind {
-	case ColBool:
-		if off >= len(data) {
-			return 0, fmt.Errorf("%w: truncated bool", ErrCorrupt)
-		}
-		c := data[off]
-		if c > 1 {
-			return 0, fmt.Errorf("%w: bool byte %#x", ErrCorrupt, c)
-		}
-		fv.SetBool(c == 1)
-		return off + 1, nil
-	case ColInt:
-		u, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
-		}
-		i := unzigzag(u)
-		if fv.OverflowInt(i) {
-			return 0, fmt.Errorf("%w: value %d overflows %s", ErrCorrupt, i, fv.Type())
-		}
-		fv.SetInt(i)
-		return off + n, nil
-	case ColUint:
-		u, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
-		}
-		if fv.OverflowUint(u) {
-			return 0, fmt.Errorf("%w: value %d overflows %s", ErrCorrupt, u, fv.Type())
-		}
-		fv.SetUint(u)
-		return off + n, nil
-	case ColFloat32:
-		if len(data)-off < 4 {
-			return 0, fmt.Errorf("%w: truncated float32", ErrCorrupt)
-		}
-		fv.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))))
-		return off + 4, nil
-	case ColFloat64:
-		if len(data)-off < 8 {
-			return 0, fmt.Errorf("%w: truncated float64", ErrCorrupt)
-		}
-		fv.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(data[off:])))
-		return off + 8, nil
+// decodeColValue decodes one value at data[off:] into fv, a field of an
+// element of the target slice, and returns the new offset. ColBytes fields
+// become views into data (borrowed decode).
+func decodeColValue(data []byte, off int, fd *ColumnField, fv reflect.Value) (int, error) {
+	switch kind := fd.Kind; kind {
+	case ColBool, ColInt, ColUint, ColFloat32, ColFloat64:
+		return scalarLayouts[fd.op].decode(data, off, fv.Addr().UnsafePointer())
 	case ColString, ColBytes:
 		u, n := binary.Uvarint(data[off:])
 		if n <= 0 {

@@ -17,9 +17,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
+	"unsafe"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/wire"
 )
@@ -93,7 +93,7 @@ func MarshalAppend(dst []byte, v any) ([]byte, error) {
 	ar := getArchive()
 	ar.Saving = true
 	ar.buf = dst
-	err := c.enc(ar, rv)
+	err := c.encAny(ar, rv)
 	out := ar.buf
 	putArchive(ar)
 	if err != nil {
@@ -197,85 +197,29 @@ func (ar *Archive) String(s *string) error {
 }
 
 // Bool serializes a bool.
-func (ar *Archive) Bool(b *bool) error {
-	if ar.Saving {
-		if *b {
-			ar.buf = append(ar.buf, 1)
-		} else {
-			ar.buf = append(ar.buf, 0)
-		}
-		return nil
-	}
-	if ar.off >= len(ar.buf) {
-		return fmt.Errorf("%w: truncated bool", ErrCorrupt)
-	}
-	c := ar.buf[ar.off]
-	ar.off++
-	if c > 1 {
-		return fmt.Errorf("%w: bool byte %#x", ErrCorrupt, c)
-	}
-	*b = c == 1
-	return nil
-}
+func (ar *Archive) Bool(b *bool) error { return ar.scalar(opBool, unsafe.Pointer(b)) }
 
 // Uint64 serializes an unsigned integer as a varint.
-func (ar *Archive) Uint64(v *uint64) error {
-	if ar.Saving {
-		ar.putUvarint(*v)
-		return nil
-	}
-	n, err := ar.getUvarint()
-	if err != nil {
-		return err
-	}
-	*v = n
-	return nil
-}
+func (ar *Archive) Uint64(v *uint64) error { return ar.scalar(opUint64, unsafe.Pointer(v)) }
 
 // Int64 serializes a signed integer as a zig-zag varint.
-func (ar *Archive) Int64(v *int64) error {
-	if ar.Saving {
-		ar.putUvarint(zigzag(*v))
-		return nil
-	}
-	n, err := ar.getUvarint()
-	if err != nil {
-		return err
-	}
-	*v = unzigzag(n)
-	return nil
-}
+func (ar *Archive) Int64(v *int64) error { return ar.scalar(opInt64, unsafe.Pointer(v)) }
 
 // Float64 serializes a float64 as 8 fixed bytes.
-func (ar *Archive) Float64(v *float64) error {
-	if ar.Saving {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(*v))
-		ar.buf = append(ar.buf, b[:]...)
-		return nil
-	}
-	if len(ar.buf)-ar.off < 8 {
-		return fmt.Errorf("%w: truncated float64", ErrCorrupt)
-	}
-	*v = math.Float64frombits(binary.LittleEndian.Uint64(ar.buf[ar.off:]))
-	ar.off += 8
-	return nil
-}
+func (ar *Archive) Float64(v *float64) error { return ar.scalar(opFloat64, unsafe.Pointer(v)) }
 
 // Float32 serializes a float32 as 4 fixed bytes.
-func (ar *Archive) Float32(v *float32) error {
+func (ar *Archive) Float32(v *float32) error { return ar.scalar(opFloat32, unsafe.Pointer(v)) }
+
+// scalar moves the scalar at p, of the op's type, through the archive.
+func (ar *Archive) scalar(op flatOp, p unsafe.Pointer) (err error) {
+	l := &scalarLayouts[op]
 	if ar.Saving {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(*v))
-		ar.buf = append(ar.buf, b[:]...)
+		ar.buf = l.encode(ar.buf, p)
 		return nil
 	}
-	if len(ar.buf)-ar.off < 4 {
-		return fmt.Errorf("%w: truncated float32", ErrCorrupt)
-	}
-	*v = math.Float32frombits(binary.LittleEndian.Uint32(ar.buf[ar.off:]))
-	ar.off += 4
-	return nil
+	ar.off, err = l.decode(ar.buf, ar.off, p)
+	return err
 }
 
 // Value serializes any supported Go value through its compiled codec; v
