@@ -10,6 +10,7 @@
 package bedrock
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -32,62 +33,43 @@ type ProcessConfig struct {
 	Margo     MargoConfig      `json:"margo"`
 	Providers []ProviderConfig `json:"providers"`
 	// Storage tunes the process-wide LSM storage tier (block cache size,
-	// compaction mode, WAL durability). Nil keeps the defaults; it only
+	// memtable size, WAL durability). Nil keeps the defaults; it only
 	// matters when some provider serves an "lsm" database.
 	Storage *StorageConfig `json:"storage,omitempty"`
 }
 
 // StorageConfig is the JSON form of the server's storage-tier setup. One
-// block cache and one background-compaction pool are shared by every LSM
-// database the process serves.
+// block cache and one background pool of two execution streams are shared
+// by every LSM database the process serves; flushes and merges always run
+// on that pool, off the write path.
 type StorageConfig struct {
 	// BlockCacheMB sizes the shared block cache in MiB (0: 32 MiB).
 	BlockCacheMB int `json:"block_cache_mb,omitempty"`
-	// DisableBlockCache turns block caching off entirely.
-	DisableBlockCache bool `json:"disable_block_cache,omitempty"`
 	// MemtableMB is the per-database flush threshold in MiB (0: 4 MiB).
 	MemtableMB int `json:"memtable_mb,omitempty"`
-	// CompactAt triggers a merge at this table count (0: 6).
-	CompactAt int `json:"compact_at,omitempty"`
-	// SyncWrites makes writes durable before they are acknowledged.
+	// SyncWrites acknowledges a write only once an fsync covers it.
+	// Concurrent writers share that fsync (group commit). Off, the WAL is
+	// fsynced only when a memtable rotates, so a killed server can lose
+	// acknowledged writes.
 	SyncWrites bool `json:"sync_writes,omitempty"`
-	// DisableGroupCommit forces one fsync per write under SyncWrites
-	// instead of batching fsyncs across concurrent writers.
-	DisableGroupCommit bool `json:"disable_group_commit,omitempty"`
-	// GroupCommitWindowUS is the commit leader's rider-collection window
-	// in microseconds (0: the yokan default).
-	GroupCommitWindowUS int64 `json:"group_commit_window_us,omitempty"`
-	// ForegroundCompaction runs flushes and merges inline on the write
-	// path (the pre-storage-tier behaviour; mostly for A/B experiments).
-	ForegroundCompaction bool `json:"foreground_compaction,omitempty"`
-	// CompactionStreams is the number of execution streams in the storage
-	// pool draining flush/compaction jobs (0: 2).
-	CompactionStreams int `json:"compaction_streams,omitempty"`
 }
 
 // storagePoolName is the dedicated pool for LSM background jobs, kept out
-// of the RPC pools so storage I/O never steals request execution streams.
-const storagePoolName = "__storage__"
+// of the RPC pools so storage I/O never steals request execution streams;
+// storageStreams execution streams drain it.
+const (
+	storagePoolName = "__storage__"
+	storageStreams  = 2
+)
 
 // options materializes the LSM options this config describes.
 func (sc *StorageConfig) options() yokan.LSMOptions {
-	opts := yokan.DefaultLSMOptions()
-	if sc == nil {
-		return opts
-	}
-	if sc.MemtableMB > 0 {
+	var opts yokan.LSMOptions
+	if sc != nil {
+		opts.BlockCacheBytes = int64(sc.BlockCacheMB) << 20
 		opts.MemtableBytes = int64(sc.MemtableMB) << 20
+		opts.SyncWrites = sc.SyncWrites
 	}
-	if sc.CompactAt > 1 {
-		opts.CompactAt = sc.CompactAt
-	}
-	opts.SyncWrites = sc.SyncWrites
-	opts.GroupCommit = !sc.DisableGroupCommit
-	if sc.GroupCommitWindowUS > 0 {
-		opts.GroupCommitWindow = time.Duration(sc.GroupCommitWindowUS) * time.Microsecond
-	}
-	opts.BackgroundCompaction = !sc.ForegroundCompaction
-	opts.DisableBlockCache = sc.DisableBlockCache
 	return opts
 }
 
@@ -125,11 +107,8 @@ type QoSConfig struct {
 	// Tenants holds per-tenant weight/rate overrides, keyed by tenant.
 	Tenants map[string]qos.TenantConfig `json:"tenants,omitempty"`
 	// MaxQueue bounds the gate's WFQ backlog (0: qos default of 256).
+	// Batch traffic sheds at half of it, interactive traffic at 90%.
 	MaxQueue int `json:"max_queue,omitempty"`
-	// ShedBatchAt / ShedInteractiveAt are the queue-fill fractions where
-	// batch and interactive traffic start shedding (defaults 0.5 / 0.9).
-	ShedBatchAt       float64 `json:"shed_batch_at,omitempty"`
-	ShedInteractiveAt float64 `json:"shed_interactive_at,omitempty"`
 	// PressureAt is the fill fraction where pushed backpressure starts
 	// rising (default 0.25).
 	PressureAt float64 `json:"pressure_at,omitempty"`
@@ -141,13 +120,11 @@ func (qc *QoSConfig) Gate() qos.Config {
 		return qos.Config{}
 	}
 	return qos.Config{
-		Enabled:           qc.Enabled,
-		Default:           qc.Default,
-		Tenants:           qc.Tenants,
-		MaxQueue:          qc.MaxQueue,
-		ShedBatchAt:       qc.ShedBatchAt,
-		ShedInteractiveAt: qc.ShedInteractiveAt,
-		PressureAt:        qc.PressureAt,
+		Enabled:    qc.Enabled,
+		Default:    qc.Default,
+		Tenants:    qc.Tenants,
+		MaxQueue:   qc.MaxQueue,
+		PressureAt: qc.PressureAt,
 	}
 }
 
@@ -369,15 +346,9 @@ func Boot(cfg ProcessConfig) (*Server, error) {
 	// in RPC queues anyway).
 	var env *yokan.StorageEnv
 	if processHasLSM(cfg) {
-		sc := cfg.Storage
-		opts := sc.options()
-		streams := 2
-		if sc != nil && sc.CompactionStreams > 0 {
-			streams = sc.CompactionStreams
-		}
 		var acfg argo.Config
 		acfg.Pools = []argo.PoolConfig{{Name: storagePoolName, Kind: argo.SchedFIFO}}
-		for i := 0; i < streams; i++ {
+		for i := 0; i < storageStreams; i++ {
 			acfg.XStreams = append(acfg.XStreams, argo.XStreamConfig{
 				Name:  fmt.Sprintf("storage-%d", i),
 				Pools: []string{storagePoolName},
@@ -389,14 +360,9 @@ func Boot(cfg ProcessConfig) (*Server, error) {
 			return nil, fmt.Errorf("bedrock: storage runtime: %w", err)
 		}
 		srv.storageRT = rt
-		if !opts.DisableBlockCache {
-			cacheBytes := int64(0)
-			if sc != nil {
-				cacheBytes = int64(sc.BlockCacheMB) << 20
-			}
-			srv.storageCache = yokan.NewBlockCache(cacheBytes)
-			srv.storageCache.RegisterMetrics(srv.registry)
-		}
+		opts := cfg.Storage.options()
+		srv.storageCache = yokan.NewBlockCache(opts.BlockCacheBytes)
+		srv.storageCache.RegisterMetrics(srv.registry)
 		env = &yokan.StorageEnv{
 			Cache:     srv.storageCache,
 			Compactor: yokan.NewCompactor(rt.Pool(storagePoolName)),
@@ -447,10 +413,14 @@ func (s *Server) bulkJanitor() {
 	}
 }
 
-// BootJSON parses a JSON document and boots from it.
+// BootJSON parses a JSON document and boots from it. Unknown fields are
+// refused, so a misspelled or removed setting fails loudly instead of
+// silently keeping its default.
 func BootJSON(data []byte) (*Server, error) {
 	var cfg ProcessConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("bedrock: parse config: %w", err)
 	}
 	return Boot(cfg)

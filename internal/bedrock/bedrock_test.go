@@ -122,6 +122,47 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// A server document naming a setting that does not exist, whether removed
+// or misspelled, fails to boot instead of silently running on defaults.
+func TestBootJSONRefusesUnknownSettings(t *testing.T) {
+	doc := func(storage, qos string) string {
+		return fmt.Sprintf(`{
+		  "margo": {"address": "inproc://%s", "qos": {"enabled": true%s}},
+		  "storage": {"memtable_mb": 1%s},
+		  "providers": [{"type": "yokan", "provider_id": 0,
+		    "config": {"databases": [{"name": "events_0"}]}}]
+		}`, uniq("strict"), qos, storage)
+	}
+	srv, err := BootJSON([]byte(doc("", "")))
+	if err != nil {
+		t.Fatalf("valid document refused: %v", err)
+	}
+	srv.Shutdown()
+
+	for _, tc := range []struct{ key, storage, qos string }{
+		{"foreground_compaction", `, "foreground_compaction": true`, ""},
+		{"disable_group_commit", `, "disable_group_commit": true`, ""},
+		{"group_commit_window_us", `, "group_commit_window_us": 500`, ""},
+		{"compaction_streams", `, "compaction_streams": 4`, ""},
+		{"compact_at", `, "compact_at": 3`, ""},
+		{"disable_block_cache", `, "disable_block_cache": true`, ""},
+		{"shed_batch_at", "", `, "shed_batch_at": 0.4`},
+		{"shed_interactive_at", "", `, "shed_interactive_at": 0.8`},
+		{"memtable_md", `, "memtable_md": 8`, ""}, // typo of memtable_mb
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			srv, err := BootJSON([]byte(doc(tc.storage, tc.qos)))
+			if err == nil {
+				srv.Shutdown()
+				t.Fatalf("document setting %q booted", tc.key)
+			}
+			if !strings.Contains(err.Error(), tc.key) {
+				t.Fatalf("error %q does not name %q", err, tc.key)
+			}
+		})
+	}
+}
+
 // A client document naming a setting that no longer exists fails to load
 // instead of being silently ignored: the synchronous-engine switch
 // "async.disabled" is gone, so a config that asks for it is refused.

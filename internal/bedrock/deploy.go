@@ -119,7 +119,7 @@ type DeploySpec struct {
 	QoS *QoSConfig
 	// Storage, when non-nil, is copied into every server's process config:
 	// each server runs the same storage-tier tuning (block cache size,
-	// compaction mode, WAL durability). Only meaningful with Backend "lsm".
+	// memtable size, WAL durability). Only meaningful with Backend "lsm".
 	Storage *StorageConfig
 }
 

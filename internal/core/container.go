@@ -31,16 +31,6 @@ func (c *container) Key() keys.ContainerKey { return c.key }
 // DataStore returns the owning datastore handle.
 func (c *container) DataStore() *DataStore { return c.ds }
 
-// productKey builds the key for a labelled product of this container. The
-// type name is derived from the value like HEPnOS derives the C++ type.
-func (c *container) productKey(label string, value any) (keys.ProductID, error) {
-	id := keys.ProductID{Container: c.key, Label: label, Type: serde.TypeName(value)}
-	if err := id.Validate(); err != nil {
-		return keys.ProductID{}, err
-	}
-	return id, nil
-}
-
 // Store serializes value and stores it as a product with the given label —
 // ev.store(vp) from Listing 1 (the label defaults to "" there; Go is
 // explicit).
@@ -48,7 +38,7 @@ func (c *container) Store(ctx context.Context, label string, value any) error {
 	if c.ds.closed.Load() {
 		return ErrClosed
 	}
-	id, err := c.productKey(label, value)
+	id, err := productIDFor(c.key, label, value)
 	if err != nil {
 		return err
 	}
@@ -99,7 +89,7 @@ func (c *container) Load(ctx context.Context, label string, ptr any) error {
 	if c.ds.closed.Load() {
 		return ErrClosed
 	}
-	id, err := c.productKey(label, ptr)
+	id, err := productIDFor(c.key, label, ptr)
 	if err != nil {
 		return err
 	}
@@ -132,7 +122,7 @@ func (c *container) HasProduct(ctx context.Context, label string, example any) (
 	if c.ds.closed.Load() {
 		return false, ErrClosed
 	}
-	id, err := c.productKey(label, example)
+	id, err := productIDFor(c.key, label, example)
 	if err != nil {
 		return false, err
 	}

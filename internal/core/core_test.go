@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/bedrock"
+	"github.com/hep-on-hpc/hepnos-go/internal/keys"
 	"github.com/hep-on-hpc/hepnos-go/internal/obs"
+	"github.com/hep-on-hpc/hepnos-go/internal/yokan"
 )
 
 var deploySeq atomic.Int64
@@ -613,23 +615,23 @@ func TestPlacementCoLocation(t *testing.T) {
 	// run and all events of a subrun — the iterability invariant.
 	ds := newTestStore(t, bedrock.DeploySpec{Servers: 4})
 	d, _ := ds.CreateDataSet(context.Background(), "place")
-	runDB := ds.runDBForDataset(d.key)
+	v := ds.v()
+	home := func(dbs []yokan.DBHandle, parentKey keys.ContainerKey) yokan.DBHandle {
+		return dbs[ds.placement.placer(len(dbs)).Place(parentKey.Bytes())]
+	}
+	runDB := home(v.RunDBs, d.key)
 	for n := uint64(0); n < 100; n++ {
-		if got := ds.runDBForDataset(d.key); got != runDB {
+		if got := home(v.RunDBs, d.key); got != runDB {
 			t.Fatal("run placement depends on something other than the dataset")
 		}
 	}
 	runKey := d.key.Child(7)
-	srDB := ds.subrunDBForRun(runKey)
-	evDB := ds.eventDBForSubRun(runKey.Child(1))
-	_ = srDB
-	_ = evDB
 	// Different subruns usually map to different event databases (load
 	// distribution); with 16 event DBs, 64 subruns hitting one DB would be
 	// astronomically unlikely.
 	all := map[string]bool{}
 	for sr := uint64(0); sr < 64; sr++ {
-		all[ds.eventDBForSubRun(runKey.Child(sr)).String()] = true
+		all[home(v.EventDBs, runKey.Child(sr)).String()] = true
 	}
 	if len(all) < 2 {
 		t.Fatal("event placement does not spread subruns across databases")

@@ -62,26 +62,27 @@ func TestReplicaPlacementDistinctServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(what string, set []yokan.DBHandle, legacy yokan.DBHandle) {
+	v := ds.v()
+	check := func(what string, set, dbs []yokan.DBHandle, parentKey keys.ContainerKey) {
 		t.Helper()
 		if len(set) != 2 {
 			t.Fatalf("%s: %d replicas, want 2", what, len(set))
 		}
-		if set[0] != legacy {
-			t.Fatalf("%s: primary %s differs from single-home placement %s", what, set[0], legacy)
+		if home := dbs[ds.placement.placer(len(dbs)).Place(parentKey.Bytes())]; set[0] != home {
+			t.Fatalf("%s: primary %s differs from single-home placement %s", what, set[0], home)
 		}
 		if set[0].Addr == set[1].Addr {
 			t.Fatalf("%s: both replicas on %s", what, set[0].Addr)
 		}
 	}
-	check("runs", ds.runReplicas(d.key), ds.runDBForDataset(d.key))
+	check("runs", ds.runReplicas(d.key), v.RunDBs, d.key)
 	for r := uint64(0); r < 8; r++ {
 		runKey := d.key.Child(r)
-		check("subruns", ds.subrunReplicas(runKey), ds.subrunDBForRun(runKey))
+		check("subruns", ds.subrunReplicas(runKey), v.SubrunDBs, runKey)
 		for s := uint64(0); s < 8; s++ {
 			srKey := runKey.Child(s)
-			check("events", ds.eventReplicas(srKey), ds.eventDBForSubRun(srKey))
-			check("products", ds.productReplicas(srKey.Child(s)), ds.productDBForContainer(srKey.Child(s)))
+			check("events", ds.eventReplicas(srKey), v.EventDBs, srKey)
+			check("products", ds.productReplicas(srKey.Child(s)), v.ProductDBs, srKey.Child(s))
 		}
 	}
 }

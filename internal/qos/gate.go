@@ -35,13 +35,6 @@ type Config struct {
 	// MaxQueue bounds the WFQ backlog across all tenants; at the bound
 	// every request sheds. Zero means 256.
 	MaxQueue int `json:"max_queue,omitempty"`
-	// ShedBatchAt is the queue-fill fraction (0..1] above which batch
-	// traffic sheds. Zero means 0.5.
-	ShedBatchAt float64 `json:"shed_batch_at,omitempty"`
-	// ShedInteractiveAt is the queue-fill fraction above which interactive
-	// traffic sheds too. Zero means 0.9. Keeping it above ShedBatchAt is
-	// what makes the shedding order class-aware.
-	ShedInteractiveAt float64 `json:"shed_interactive_at,omitempty"`
 	// PressureAt is the queue-fill fraction where the pushed backpressure
 	// signal starts rising from zero; it reaches 255 at MaxQueue. Zero
 	// means 0.25.
@@ -51,25 +44,18 @@ type Config struct {
 	Now func() time.Time `json:"-"`
 }
 
+// Queue-fill fractions at which batch, then interactive, traffic sheds.
+// Batch sheds first: that order is what makes shedding class-aware.
+const (
+	shedBatchAt       = 0.5
+	shedInteractiveAt = 0.9
+)
+
 func (c Config) maxQueue() int {
 	if c.MaxQueue <= 0 {
 		return 256
 	}
 	return c.MaxQueue
-}
-
-func (c Config) shedBatchAt() float64 {
-	if c.ShedBatchAt <= 0 {
-		return 0.5
-	}
-	return c.ShedBatchAt
-}
-
-func (c Config) shedInteractiveAt() float64 {
-	if c.ShedInteractiveAt <= 0 {
-		return 0.9
-	}
-	return c.ShedInteractiveAt
 }
 
 func (c Config) pressureAt() float64 {
@@ -181,9 +167,9 @@ func (g *Gate) Submit(id Identity, cost int, run func()) error {
 	switch {
 	case depth >= max:
 		reason = "queue full"
-	case id.Class == ClassBatch && fill >= g.cfg.shedBatchAt():
+	case id.Class == ClassBatch && fill >= shedBatchAt:
 		reason = "batch shed threshold"
-	case fill >= g.cfg.shedInteractiveAt():
+	case fill >= shedInteractiveAt:
 		reason = "interactive shed threshold"
 	default:
 		tc := g.cfg.tenant(id.Tenant)

@@ -83,8 +83,8 @@ type DBConfig struct {
 // StorageEnv is the shared storage infrastructure a server process hands
 // to every LSM database it opens: one block cache (so hot databases can
 // use the whole budget), one background executor, and the tuned options.
-// A nil StorageEnv (or one with zero fields) falls back to per-database
-// defaults, so standalone opens keep working.
+// A nil StorageEnv, or any zero field of one, falls back to the
+// per-database defaults, so standalone opens keep working.
 type StorageEnv struct {
 	Cache     *BlockCache
 	Compactor *Compactor
@@ -109,14 +109,9 @@ func OpenBackendEnv(cfg DBConfig, env *StorageEnv) (Backend, error) {
 		if cfg.Path == "" {
 			return nil, fmt.Errorf("yokan: lsm database %q needs a path", cfg.Name)
 		}
-		opts := DefaultLSMOptions()
+		var opts LSMOptions
 		if env != nil {
 			opts = env.Options
-			if opts.MemtableBytes <= 0 && opts.CompactAt == 0 && opts.IndexEvery == 0 {
-				// Zero-valued options block: keep defaults, inherit only
-				// the shared infrastructure.
-				opts = DefaultLSMOptions()
-			}
 			opts.Cache = env.Cache
 			opts.Compactor = env.Compactor
 		}

@@ -18,7 +18,9 @@ func openTestBackends(t *testing.T) map[string]Backend {
 	t.Helper()
 	m := newMapDB("testmap")
 	l, err := openLSM("testlsm", t.TempDir(), LSMOptions{
-		MemtableBytes: 16 << 10, // small so tests exercise flush/compact
+		// Small, so background flush and compaction jobs run while the
+		// conformance checks read.
+		MemtableBytes: 16 << 10,
 		CompactAt:     3,
 	})
 	if err != nil {

@@ -1,10 +1,6 @@
 package yokan
 
-import (
-	"errors"
-
-	"github.com/hep-on-hpc/hepnos-go/internal/argo"
-)
+import "github.com/hep-on-hpc/hepnos-go/internal/argo"
 
 // Compactor schedules LSM background work (memtable flushes and table
 // merges) onto a dedicated argo pool so storage I/O never steals cycles
@@ -25,15 +21,7 @@ func NewCompactor(pool *argo.Pool) *Compactor {
 // drops fn: if the pool is missing or already shut down, fn runs on a
 // fresh goroutine instead.
 func (c *Compactor) submit(fn func()) {
-	if c == nil || c.pool == nil {
-		go fn()
-		return
-	}
-	if err := c.pool.Push(fn); err != nil {
-		if errors.Is(err, argo.ErrShutdown) {
-			go fn()
-			return
-		}
+	if c == nil || c.pool == nil || c.pool.Push(fn) != nil {
 		go fn()
 	}
 }

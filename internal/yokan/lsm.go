@@ -7,11 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 )
 
 // LSMOptions tunes the lsm backend.
@@ -25,21 +21,10 @@ type LSMOptions struct {
 	// BloomBitsPerKey sizes the per-table bloom filters.
 	BloomBitsPerKey int
 	// SyncWrites makes every write durable before it is acknowledged.
+	// Concurrent writers share fsyncs through the group-commit WAL: a
+	// commit leader waits a short window for riders and issues one fsync
+	// for the whole group.
 	SyncWrites bool
-	// GroupCommit batches the SyncWrites fsyncs across concurrent writers:
-	// a commit leader waits GroupCommitWindow for riders and issues one
-	// fsync for the whole group. Without SyncWrites it has no effect.
-	GroupCommit bool
-	// GroupCommitWindow is the leader's rider-collection wait (0 selects
-	// the default, currently 200µs).
-	GroupCommitWindow time.Duration
-	// BackgroundCompaction moves memtable flushes and table merges off the
-	// write path: a full memtable is swapped to an immutable queue and
-	// flushed by a background job, and merges run outside the write lock,
-	// installing their result under a short critical section. When false,
-	// flush and compaction run inline on the triggering write, which keeps
-	// flush/compaction counters deterministic for tests.
-	BackgroundCompaction bool
 	// Cache serves decoded SSTable blocks for point lookups. Nil creates a
 	// private cache of BlockCacheBytes (bedrock injects one shared cache
 	// per server instead). DisableBlockCache turns caching off entirely.
@@ -51,16 +36,14 @@ type LSMOptions struct {
 }
 
 // DefaultLSMOptions returns production-ish defaults scaled for tests and
-// single-node benchmarks.
+// single-node benchmarks. A zero field of LSMOptions selects the default
+// here, so LSMOptions{} opens the same database.
 func DefaultLSMOptions() LSMOptions {
 	return LSMOptions{
-		MemtableBytes:        4 << 20,
-		CompactAt:            6,
-		IndexEvery:           16,
-		BloomBitsPerKey:      10,
-		SyncWrites:           false,
-		GroupCommit:          true,
-		BackgroundCompaction: true,
+		MemtableBytes:   4 << 20,
+		CompactAt:       6,
+		IndexEvery:      16,
+		BloomBitsPerKey: 10,
 	}
 }
 
@@ -152,7 +135,6 @@ type lsmDB struct {
 
 	cache     *BlockCache
 	compactor *Compactor
-	walMode   walSyncMode
 
 	mu          sync.RWMutex
 	mem         *skipList
@@ -221,21 +203,6 @@ func openLSM(name, dir string, opts LSMOptions) (*lsmDB, error) {
 			db.cache = NewBlockCache(opts.BlockCacheBytes)
 		}
 	}
-	switch {
-	case opts.SyncWrites && opts.GroupCommit:
-		db.walMode = walSyncGroup
-	case opts.SyncWrites:
-		db.walMode = walSyncEach
-	default:
-		db.walMode = walNoSync
-	}
-
-	// Interrupted writers leave *.tmp files; none were ever visible.
-	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err == nil {
-		for _, p := range tmps {
-			os.Remove(p)
-		}
-	}
 
 	man, err := readManifest(dir)
 	if err != nil {
@@ -245,54 +212,48 @@ func openLSM(name, dir string, opts LSMOptions) (*lsmDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(onDisk) // ascending sequence = oldest first
+	if man == nil {
+		// The manifest is written at first open, before any table exists,
+		// so tables without one were not written by this store. Refuse the
+		// directory and leave the files alone.
+		if len(onDisk) > 0 {
+			return nil, fmt.Errorf("yokan: lsm dir %s holds %d tables but no %s", dir, len(onDisk), manifestName)
+		}
+		man = &lsmManifest{}
+	}
 
-	adopt := func(p string) {
+	// Interrupted writers leave *.tmp files; none were ever visible.
+	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err == nil {
+		for _, p := range tmps {
+			os.Remove(p)
+		}
+	}
+
+	inManifest := make(map[string]bool, len(man.Tables))
+	for _, nm := range man.Tables {
+		inManifest[nm] = true
+	}
+	for _, p := range onDisk {
+		if !inManifest[filepath.Base(p)] {
+			os.Remove(p)
+			db.recovered.Orphans++
+		}
+	}
+	for _, nm := range man.Tables {
+		p := filepath.Join(dir, nm)
 		t, err := openSSTable(p, db.cache, true)
 		if err != nil {
-			// Torn or corrupt table: set it aside instead of refusing to
-			// open the database. Its data is either replayed from WAL
-			// segments (interrupted flush) or still in the pre-merge
-			// tables (interrupted compaction).
+			// Missing, torn or corrupt table: set it aside instead of
+			// refusing to open the database. Its data is either replayed
+			// from WAL segments (interrupted flush) or still in the
+			// pre-merge tables (interrupted compaction).
 			os.Rename(p, p+".bad")
 			db.recovered.Quarantined++
-			return
+			continue
 		}
 		db.tables = append([]*sstable{t}, db.tables...)
 	}
-
-	if man != nil {
-		inManifest := make(map[string]bool, len(man.Tables))
-		for _, nm := range man.Tables {
-			inManifest[nm] = true
-		}
-		for _, p := range onDisk {
-			if !inManifest[filepath.Base(p)] {
-				os.Remove(p)
-				db.recovered.Orphans++
-			}
-		}
-		for _, nm := range man.Tables {
-			p := filepath.Join(dir, nm)
-			if _, err := os.Stat(p); err != nil {
-				db.recovered.Quarantined++
-				continue
-			}
-			adopt(p)
-		}
-		db.seq = man.Seq
-	} else {
-		// Legacy (pre-manifest) directory: every table on disk is live.
-		for _, p := range onDisk {
-			adopt(p)
-		}
-	}
-	for _, t := range db.tables {
-		base := strings.TrimSuffix(filepath.Base(t.path), ".sst")
-		if n, err := strconv.Atoi(strings.TrimPrefix(base, "sst-")); err == nil && n >= db.seq {
-			db.seq = n + 1
-		}
-	}
+	db.seq = man.Seq
 	db.recovered.Tables = len(db.tables)
 
 	// Replay WAL segments (oldest first) into the memtable. The replayed
@@ -325,13 +286,12 @@ func openLSM(name, dir string, opts LSMOptions) (*lsmDB, error) {
 
 	active := filepath.Join(dir, walSegmentName(db.walSeq))
 	db.walSeq++
-	db.wal, err = openWAL(active, db.walMode, opts.GroupCommitWindow)
+	db.wal, err = openWAL(active, opts.SyncWrites)
 	if err != nil {
 		return nil, err
 	}
 
-	// Re-anchor the manifest to what was actually adopted (also converts
-	// legacy directories to the manifest protocol).
+	// Re-anchor the manifest to what was actually adopted.
 	if err := writeManifest(dir, lsmManifest{Seq: db.seq, Tables: db.tableNamesLocked()}); err != nil {
 		return nil, err
 	}
@@ -390,7 +350,7 @@ func (db *lsmDB) swapMemtableLocked() error {
 
 	path := filepath.Join(db.dir, walSegmentName(db.walSeq))
 	db.walSeq++
-	w, err := openWAL(path, db.walMode, db.opts.GroupCommitWindow)
+	w, err := openWAL(path, db.opts.SyncWrites)
 	if err != nil {
 		return err
 	}
@@ -398,11 +358,10 @@ func (db *lsmDB) swapMemtableLocked() error {
 	return nil
 }
 
-// maybeSwapLocked rotates the memtable once it crosses the threshold and,
-// in background mode, reserves a flush job slot (the Add must happen in
-// the same critical section that observed closed=false, so Close's
-// jobs.Wait can never race with it). The caller submits the job after
-// releasing db.mu.
+// maybeSwapLocked rotates the memtable once it crosses the threshold and
+// reserves a flush job slot (the Add must happen in the same critical
+// section that observed closed=false, so Close's jobs.Wait can never race
+// with it). The caller submits the job after releasing db.mu.
 func (db *lsmDB) maybeSwapLocked() (swapped bool, err error) {
 	if db.mem.approxBytes() < db.opts.MemtableBytes {
 		return false, nil
@@ -410,32 +369,17 @@ func (db *lsmDB) maybeSwapLocked() (swapped bool, err error) {
 	if err := db.swapMemtableLocked(); err != nil {
 		return false, err
 	}
-	if db.opts.BackgroundCompaction {
-		db.jobs.Add(1)
-	}
+	db.jobs.Add(1)
 	return true, nil
 }
 
-// afterWrite completes a write after db.mu is released: wait for group
-// commit durability, then run or schedule the flush decided under the lock.
+// afterWrite completes a write after db.mu is released: submit the flush
+// job reserved under the lock, then wait for group-commit durability.
 func (db *lsmDB) afterWrite(w *wal, off int64, swapped bool) error {
-	if err := w.waitDurable(off); err != nil {
-		return err
-	}
-	if !swapped {
-		return nil
-	}
-	if db.opts.BackgroundCompaction {
+	if swapped {
 		db.compactor.submit(db.flushJob)
-		return nil
 	}
-	if err := db.flushOldest(); err != nil {
-		return err
-	}
-	if db.TableCount() >= db.opts.CompactAt {
-		return db.compactOnce()
-	}
-	return nil
+	return w.waitDurable(off)
 }
 
 func (db *lsmDB) Put(key, val []byte) error {
@@ -795,8 +739,7 @@ func (db *lsmDB) flushOldest() error {
 	db.flushCount++
 	names := db.tableNamesLocked()
 	seqNow := db.seq
-	needCompact := db.opts.BackgroundCompaction &&
-		len(db.tables) >= db.opts.CompactAt && !db.compactQueued
+	needCompact := len(db.tables) >= db.opts.CompactAt && !db.compactQueued
 	if needCompact {
 		db.compactQueued = true
 		db.jobs.Add(1)
@@ -938,8 +881,7 @@ func (db *lsmDB) compactOnce() error {
 	db.compactQueued = false
 	names := db.tableNamesLocked()
 	seqNow := db.seq
-	again := db.opts.BackgroundCompaction &&
-		len(db.tables) >= db.opts.CompactAt
+	again := len(db.tables) >= db.opts.CompactAt
 	if again {
 		db.compactQueued = true
 		db.jobs.Add(1)
@@ -964,8 +906,7 @@ func (db *lsmDB) compactOnce() error {
 }
 
 // Flush forces the memtable to disk (exposed for tests/benchmarks). It is
-// synchronous in both modes: on return every pre-existing write is in an
-// installed table.
+// synchronous: on return every pre-existing write is in an installed table.
 func (db *lsmDB) Flush() error {
 	db.mu.Lock()
 	if db.closed {

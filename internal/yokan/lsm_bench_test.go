@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // Storage-tier micro-benchmarks: cached vs uncached point reads,
-// group-commit vs sync-each writes, and the keys-only scan. They are plain
+// group-commit writes, and the keys-only scan. They are plain
 // `go test -bench` tools for work on the LSM; the end-to-end storage
 // numbers are the ingest-lsm and scan-lsm workloads of benchmark/.
 
@@ -81,12 +80,7 @@ func BenchmarkLSMGetUncached(b *testing.B) {
 // writers share fsyncs through the group-commit window. The reported
 // syncs/op metric shows the batching factor.
 func BenchmarkLSMPutGroupCommit(b *testing.B) {
-	db, err := openLSM("bench", b.TempDir(), LSMOptions{
-		MemtableBytes:     1 << 30,
-		SyncWrites:        true,
-		GroupCommit:       true,
-		GroupCommitWindow: 200 * time.Microsecond,
-	})
+	db, err := openLSM("bench", b.TempDir(), LSMOptions{MemtableBytes: 1 << 30, SyncWrites: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,24 +104,6 @@ func BenchmarkLSMPutGroupCommit(b *testing.B) {
 	appends, syncs := db.WALStats()
 	if appends > 0 {
 		b.ReportMetric(float64(syncs)/float64(appends), "syncs/op")
-	}
-}
-
-// BenchmarkLSMPutSyncEach is the ungrouped contrast: one fsync per Put.
-func BenchmarkLSMPutSyncEach(b *testing.B) {
-	db, err := openLSM("bench", b.TempDir(), LSMOptions{MemtableBytes: 1 << 30, SyncWrites: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	val := bytes.Repeat([]byte{7}, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := []byte(fmt.Sprintf("key-%010d", i))
-		if err := db.Put(key, val); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

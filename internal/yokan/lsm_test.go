@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -186,6 +187,9 @@ func TestLSMAutoFlushAndCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Flushes and merges run as background jobs; a running job enqueues
+	// its follow-up before it finishes, so one Wait drains the chain.
+	db.jobs.Wait()
 	flushes, compactions := db.Counters()
 	if flushes == 0 {
 		t.Fatal("no automatic flushes happened")
@@ -199,6 +203,48 @@ func TestLSMAutoFlushAndCompact(t *testing.T) {
 	n, _ := db.Count()
 	if n != 2000 {
 		t.Fatalf("count = %d", n)
+	}
+}
+
+// TestLSMRefusesTablesWithoutManifest: the MANIFEST is written at first
+// open, before any table exists, so a directory holding tables but no
+// manifest was not written by this store. Opening it must fail with an
+// error naming the directory and leave every file where it was.
+func TestLSMRefusesTablesWithoutManifest(t *testing.T) {
+	dir := t.TempDir()
+	db, err := openLSM("t", dir, LSMOptions{MemtableBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := filepath.Glob(filepath.Join(dir, "sst-*.sst"))
+	if err != nil || len(before) != 1 {
+		t.Fatalf("want 1 table before reopen, got %v (%v)", before, err)
+	}
+
+	re, err := openLSM("t", dir, DefaultLSMOptions())
+	if err == nil {
+		re.Close()
+		t.Fatal("opened a directory with tables but no manifest")
+	}
+	if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("error %q does not name the directory %s", err, dir)
+	}
+	after, _ := filepath.Glob(filepath.Join(dir, "sst-*.sst"))
+	if len(after) != 1 || after[0] != before[0] {
+		t.Fatalf("tables touched by the refused open: before %v, after %v", before, after)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused open wrote a manifest: %v", err)
 	}
 }
 

@@ -33,30 +33,17 @@ const (
 	walOpDel = 'D'
 )
 
-// walSyncMode selects the durability discipline of append.
-type walSyncMode int
-
-const (
-	// walNoSync buffers records in userspace; durability comes from the
-	// next flush/rotation. This is the paper's ingest-once default.
-	walNoSync walSyncMode = iota
-	// walSyncEach fsyncs inside every append (one fsync per write).
-	walSyncEach
-	// walSyncGroup batches fsyncs across concurrent appenders: append
-	// only buffers, and waitDurable elects a leader that syncs once for
-	// every record written before it (group commit).
-	walSyncGroup
-)
-
-// defaultGroupWindow is how long a group-commit leader waits for riders
+// groupCommitWindow is how long a group-commit leader waits for riders
 // before issuing the shared fsync.
-const defaultGroupWindow = 200 * time.Microsecond
+var groupCommitWindow = 200 * time.Microsecond
 
 type wal struct {
 	path string
-	mode walSyncMode
-	// window is the leader's rider-collection wait in group mode.
-	window time.Duration
+	// durable selects group commit: waitDurable elects a leader that syncs
+	// once for every record written before it. Without it waitDurable
+	// returns at once and durability comes from the next rotation (the
+	// paper's ingest-once default).
+	durable bool
 
 	// mu guards the writer state (file, buffer, len).
 	mu     sync.Mutex
@@ -78,7 +65,7 @@ type wal struct {
 	syncs   int64
 }
 
-func openWAL(path string, mode walSyncMode, window time.Duration) (*wal, error) {
+func openWAL(path string, durable bool) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("yokan: open wal: %w", err)
@@ -88,25 +75,21 @@ func openWAL(path string, mode walSyncMode, window time.Duration) (*wal, error) 
 		f.Close()
 		return nil, err
 	}
-	if window <= 0 {
-		window = defaultGroupWindow
-	}
 	w := &wal{
-		path:   path,
-		mode:   mode,
-		window: window,
-		f:      f,
-		w:      bufio.NewWriterSize(f, 1<<16),
-		len:    st.Size(),
-		synced: st.Size(),
+		path:    path,
+		durable: durable,
+		f:       f,
+		w:       bufio.NewWriterSize(f, 1<<16),
+		len:     st.Size(),
+		synced:  st.Size(),
 	}
 	w.gcCond = sync.NewCond(&w.gcMu)
 	return w, nil
 }
 
 // append writes one record and returns the log offset its durability
-// covers. In group mode the caller must invoke waitDurable(off) after
-// releasing the database lock; in the other modes waitDurable is a no-op.
+// covers. The caller must invoke waitDurable(off) after releasing the
+// database lock.
 func (w *wal) append(op byte, key, val []byte) (int64, error) {
 	body := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(key)+len(val))
 	body = append(body, op)
@@ -132,27 +115,16 @@ func (w *wal) append(op byte, key, val []byte) (int64, error) {
 	w.len += int64(len(hdr) + len(body))
 	off := w.len
 	w.appends++
-	if w.mode == walSyncEach {
-		if err := w.w.Flush(); err != nil {
-			w.mu.Unlock()
-			return 0, err
-		}
-		if err := w.f.Sync(); err != nil {
-			w.mu.Unlock()
-			return 0, err
-		}
-		w.syncs++
-	}
 	w.mu.Unlock()
 	return off, nil
 }
 
-// waitDurable blocks until the record ending at off is on disk. Only group
-// mode ever waits: a leader is elected among the waiters, sleeps a short
-// window so concurrent appenders can pile on, then issues one fsync that
-// acknowledges the whole group.
+// waitDurable blocks until the record ending at off is on disk; without
+// durable it returns at once. A leader is elected among the waiters, sleeps a
+// short window so concurrent appenders can pile on, then issues one fsync
+// that acknowledges the whole group.
 func (w *wal) waitDurable(off int64) error {
-	if w.mode != walSyncGroup {
+	if !w.durable {
 		return nil
 	}
 	w.gcMu.Lock()
@@ -161,9 +133,7 @@ func (w *wal) waitDurable(off int64) error {
 			w.leader = true
 			w.gcMu.Unlock()
 
-			if w.window > 0 {
-				time.Sleep(w.window)
-			}
+			time.Sleep(groupCommitWindow)
 			w.mu.Lock()
 			var err error
 			if w.closed {
