@@ -46,6 +46,11 @@ const (
 var ErrVerifyDiverged = xerr.Sentinel("autopilot/verify_diverged", xerr.ClassUnavailable,
 	"autopilot: migration verify did not converge")
 
+// verifyRounds bounds the verify-repair loop: each round re-walks the
+// source and repairs missing target copies; the loop ends early the first
+// time nothing needed repair.
+const verifyRounds = 3
+
 // Migrator drives one live migration through the state machine. Every step
 // delegates to an idempotent core primitive, so a retry after any failure
 // (including a process crash and restart with the same target view) resumes
@@ -57,10 +62,6 @@ type Migrator struct {
 	DS *core.DataStore
 	// Policy budgets the per-step retries (default resilience.Default()).
 	Policy *resilience.Policy
-	// VerifyRounds bounds the verify-repair loop (default 3): each round
-	// re-walks the source and repairs missing target copies; the loop ends
-	// early the first time nothing needed repair.
-	VerifyRounds int
 	// OnPhase, when non-nil, observes every state transition — the chaos
 	// tests use it to kill destinations and cut partitions at exact points
 	// of the lifecycle.
@@ -174,12 +175,8 @@ func (m *Migrator) Run(ctx context.Context, target *core.View) error {
 	}
 
 	m.setPhase(PhaseVerify)
-	rounds := m.VerifyRounds
-	if rounds <= 0 {
-		rounds = 3
-	}
 	converged := false
-	for round := 0; round < rounds && !converged; round++ {
+	for round := 0; round < verifyRounds && !converged; round++ {
 		err = m.policy().Run(ctx, "autopilot:verify", func(ctx context.Context) error {
 			_, repaired, verr := m.DS.VerifyView(ctx, target)
 			if verr == nil && repaired == 0 {

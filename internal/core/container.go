@@ -8,7 +8,6 @@ import (
 	"github.com/hep-on-hpc/hepnos-go/internal/serde"
 	"github.com/hep-on-hpc/hepnos-go/internal/uuid"
 	"github.com/hep-on-hpc/hepnos-go/internal/wire"
-	"github.com/hep-on-hpc/hepnos-go/internal/yokan"
 )
 
 // container is the shared core of DataSet, Run, SubRun and Event handles:
@@ -33,26 +32,33 @@ func (c *container) DataStore() *DataStore { return c.ds }
 
 // Store serializes value and stores it as a product with the given label —
 // ev.store(vp) from Listing 1 (the label defaults to "" there; Go is
-// explicit).
+// explicit). A registered columnar type stored on an event becomes a
+// one-event page (batch ingest via WriteBatch grows much larger pages).
 func (c *container) Store(ctx context.Context, label string, value any) error {
 	if c.ds.closed.Load() {
 		return ErrClosed
 	}
-	id, err := productIDFor(c.key, label, value)
+	return storeProduct(ctx, c.key, label, value, c.ds.replicatedPut, c.ds.storeColumnar)
+}
+
+// storeProduct is the one product encoder behind container.Store and
+// WriteBatch.Store, which differ only in where the update goes. It
+// validates the product ID and hands a registered columnar type stored on
+// an event to columnar (zero-row values stay on the row path so presence
+// survives). Any other product is put, placed by its container, with key
+// and value back-to-back in one pooled scratch buffer that is recycled
+// when put returns.
+func storeProduct(ctx context.Context, ck keys.ContainerKey, label string, value any,
+	put func(context.Context, place, []byte, []byte) error,
+	columnar func(context.Context, *serde.ColumnSchema, keys.ContainerKey, string, any) error) error {
+	id, err := productIDFor(ck, label, value)
 	if err != nil {
 		return err
 	}
-	// Registered columnar types stored on events become a one-event page
-	// (batch ingest via WriteBatch grows much larger pages); zero-row
-	// values stay on the row path so presence survives.
 	if schema := serde.ColumnarOf(value); schema != nil &&
-		c.key.Level() == keys.LevelEvent && columnarRows(value) > 0 {
-		return c.storeColumnar(ctx, schema, label, value)
+		ck.Level() == keys.LevelEvent && columnarRows(value) > 0 {
+		return columnar(ctx, schema, ck, label, value)
 	}
-	// Key and serialized value share one pooled scratch buffer; the yokan
-	// client copies both into its own request encoding, and replicatedPut
-	// waits for every copy before returning, so the scratch is recycled
-	// only once no in-flight put can still read it.
 	scratch := wire.Acquire(256)
 	defer scratch.Release()
 	kb := id.AppendEncode(scratch.B)
@@ -62,21 +68,20 @@ func (c *container) Store(ctx context.Context, label string, value any) error {
 	}
 	scratch.B = buf
 	keyLen := len(kb)
-	return c.ds.replicatedPut(ctx, c.ds.productReplicas(c.key), buf[:keyLen:keyLen], buf[keyLen:])
+	return put(ctx, place{roleProducts, ck.Bytes()}, buf[:keyLen:keyLen], buf[keyLen:])
 }
 
 // storeColumnar writes one event's rows as a single-event page, each page
 // KV replicated to the subrun's product replica set.
-func (c *container) storeColumnar(ctx context.Context, schema *serde.ColumnSchema, label string, value any) error {
-	srKey, _ := c.key.Parent()
+func (ds *DataStore) storeColumnar(ctx context.Context, schema *serde.ColumnSchema, ck keys.ContainerKey, label string, value any) error {
+	srKey, _ := ck.Parent()
 	page := newOpenPage(schema, pageGroupKey(srKey, label, schema.TypeName()), srKey)
-	if err := page.appendEvent(c.key.Number(), value); err != nil {
+	if err := page.appendEvent(ck.Number(), value); err != nil {
 		return err
 	}
-	replicas := c.ds.productReplicas(srKey)
 	ks, vs := page.pageKVs()
 	for i := range ks {
-		if err := c.ds.replicatedPut(ctx, replicas, ks[i], vs[i]); err != nil {
+		if err := ds.replicatedPut(ctx, page.to, ks[i], vs[i]); err != nil {
 			return err
 		}
 	}
@@ -106,7 +111,7 @@ func (c *container) Load(ctx context.Context, label string, ptr any) error {
 			return err
 		}
 	}
-	data, found, err := c.ds.get(ctx, func() []yokan.DBHandle { return c.ds.productReplicas(c.key) }, id.Encode())
+	data, found, err := c.ds.get(ctx, c.ds.resolver(place{roleProducts, c.key.Bytes()}), id.Encode())
 	if err != nil {
 		return err
 	}
@@ -131,7 +136,7 @@ func (c *container) HasProduct(ctx context.Context, label string, example any) (
 			return found, err
 		}
 	}
-	return c.ds.has(ctx, func() []yokan.DBHandle { return c.ds.productReplicas(c.key) }, id.Encode())
+	return c.ds.has(ctx, c.ds.resolver(place{roleProducts, c.key.Bytes()}), id.Encode())
 }
 
 // ListProducts returns the label#type identifiers of the container's
@@ -141,7 +146,7 @@ func (c *container) ListProducts(ctx context.Context) ([]string, error) {
 	if c.ds.closed.Load() {
 		return nil, ErrClosed
 	}
-	pg := c.ds.pager(productDBs, c.key.Bytes(), c.key.Bytes(), listPageSize)
+	pg := c.ds.pager(place{roleProducts, c.key.Bytes()}, c.key.Bytes(), listPageSize)
 	var out []string
 	for !pg.done {
 		page, err := pg.next(ctx)
@@ -149,14 +154,9 @@ func (c *container) ListProducts(ctx context.Context) ([]string, error) {
 			return nil, err
 		}
 		for _, k := range page {
-			// Container keys of children share this prefix only in the
-			// container databases, never in product databases, so every
-			// key here is <our key><label>#<type>. But a *descendant*
-			// container's products also share the prefix (their container
-			// key extends ours); keep only exact-container products by
-			// checking that the suffix contains no higher key bytes...
-			// which is impossible to distinguish in general, so HEPnOS
-			// products are listed only for the exact container length.
+			// A descendant container's products share this prefix too
+			// (its key extends ours); keep the products decoded at this
+			// container's exact key length.
 			id, err := keys.DecodeProductID(k, c.key.Level())
 			if err != nil || !id.Container.Equal(c.key) {
 				continue
@@ -165,6 +165,26 @@ func (c *container) ListProducts(ctx context.Context) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// createChild writes the key of c's child container number n, placed in
+// role r. Container keys have no value; presence is existence (§II-C1).
+func (c *container) createChild(ctx context.Context, r role, n uint64) (container, error) {
+	if c.ds.closed.Load() {
+		return container{}, ErrClosed
+	}
+	k := c.key.Child(n)
+	return container{ds: c.ds, key: k}, c.ds.replicatedPut(ctx, place{r, c.key.Bytes()}, k.Bytes(), nil)
+}
+
+// openChild probes for c's child container number n, placed in role r.
+func (c *container) openChild(ctx context.Context, r role, n uint64) (container, bool, error) {
+	if c.ds.closed.Load() {
+		return container{}, false, ErrClosed
+	}
+	k := c.key.Child(n)
+	found, err := c.ds.has(ctx, c.ds.resolver(place{r, c.key.Bytes()}), k.Bytes())
+	return container{ds: c.ds, key: k}, found, err
 }
 
 // DataSet is a named container of runs and other datasets (Listing 1's
@@ -185,37 +205,29 @@ func (d *DataSet) UUID() uuid.UUID {
 
 // CreateRun creates (idempotently) run number n in the dataset.
 func (d *DataSet) CreateRun(ctx context.Context, n uint64) (*Run, error) {
-	if d.ds.closed.Load() {
-		return nil, ErrClosed
-	}
-	runKey := d.key.Child(n)
-	// Container keys have no value; presence is existence (§II-C1).
-	if err := d.ds.replicatedPut(ctx, d.ds.runReplicas(d.key), runKey.Bytes(), nil); err != nil {
+	c, err := d.createChild(ctx, roleRuns, n)
+	if err != nil {
 		return nil, err
 	}
-	return &Run{container: container{ds: d.ds, key: runKey}, dataset: d}, nil
+	return &Run{container: c, dataset: d}, nil
 }
 
 // Run opens run number n, or returns ErrNoSuchContainer.
 func (d *DataSet) Run(ctx context.Context, n uint64) (*Run, error) {
-	if d.ds.closed.Load() {
-		return nil, ErrClosed
-	}
-	runKey := d.key.Child(n)
-	found, err := d.ds.has(ctx, func() []yokan.DBHandle { return d.ds.runReplicas(d.key) }, runKey.Bytes())
+	c, found, err := d.openChild(ctx, roleRuns, n)
 	if err != nil {
 		return nil, err
 	}
 	if !found {
 		return nil, fmt.Errorf("%w: run %d in %s", ErrNoSuchContainer, n, d.path)
 	}
-	return &Run{container: container{ds: d.ds, key: runKey}, dataset: d}, nil
+	return &Run{container: c, dataset: d}, nil
 }
 
 // Runs returns the run numbers in the dataset, ascending — the iterator of
 // Listing 1's range-for over a dataset.
 func (d *DataSet) Runs(ctx context.Context) ([]uint64, error) {
-	return listChildNumbers(ctx, d.ds, runDBs, d.key)
+	return listChildNumbers(ctx, d.ds, roleRuns, d.key)
 }
 
 // Run handles a numbered run.
@@ -232,35 +244,28 @@ func (r *Run) DataSet() *DataSet { return r.dataset }
 
 // CreateSubRun creates (idempotently) subrun number n.
 func (r *Run) CreateSubRun(ctx context.Context, n uint64) (*SubRun, error) {
-	if r.ds.closed.Load() {
-		return nil, ErrClosed
-	}
-	srKey := r.key.Child(n)
-	if err := r.ds.replicatedPut(ctx, r.ds.subrunReplicas(r.key), srKey.Bytes(), nil); err != nil {
+	c, err := r.createChild(ctx, roleSubruns, n)
+	if err != nil {
 		return nil, err
 	}
-	return &SubRun{container: container{ds: r.ds, key: srKey}, run: r}, nil
+	return &SubRun{container: c, run: r}, nil
 }
 
 // SubRun opens subrun number n, or returns ErrNoSuchContainer.
 func (r *Run) SubRun(ctx context.Context, n uint64) (*SubRun, error) {
-	if r.ds.closed.Load() {
-		return nil, ErrClosed
-	}
-	srKey := r.key.Child(n)
-	found, err := r.ds.has(ctx, func() []yokan.DBHandle { return r.ds.subrunReplicas(r.key) }, srKey.Bytes())
+	c, found, err := r.openChild(ctx, roleSubruns, n)
 	if err != nil {
 		return nil, err
 	}
 	if !found {
 		return nil, fmt.Errorf("%w: subrun %d in run %d", ErrNoSuchContainer, n, r.Number())
 	}
-	return &SubRun{container: container{ds: r.ds, key: srKey}, run: r}, nil
+	return &SubRun{container: c, run: r}, nil
 }
 
 // SubRuns returns the subrun numbers in the run, ascending.
 func (r *Run) SubRuns(ctx context.Context) ([]uint64, error) {
-	return listChildNumbers(ctx, r.ds, subrunDBs, r.key)
+	return listChildNumbers(ctx, r.ds, roleSubruns, r.key)
 }
 
 // SubRun handles a numbered subrun.
@@ -277,35 +282,28 @@ func (s *SubRun) Run() *Run { return s.run }
 
 // CreateEvent creates (idempotently) event number n.
 func (s *SubRun) CreateEvent(ctx context.Context, n uint64) (*Event, error) {
-	if s.ds.closed.Load() {
-		return nil, ErrClosed
-	}
-	evKey := s.key.Child(n)
-	if err := s.ds.replicatedPut(ctx, s.ds.eventReplicas(s.key), evKey.Bytes(), nil); err != nil {
+	c, err := s.createChild(ctx, roleEvents, n)
+	if err != nil {
 		return nil, err
 	}
-	return &Event{container: container{ds: s.ds, key: evKey}, subrun: s}, nil
+	return &Event{container: c, subrun: s}, nil
 }
 
 // Event opens event number n, or returns ErrNoSuchContainer.
 func (s *SubRun) Event(ctx context.Context, n uint64) (*Event, error) {
-	if s.ds.closed.Load() {
-		return nil, ErrClosed
-	}
-	evKey := s.key.Child(n)
-	found, err := s.ds.has(ctx, func() []yokan.DBHandle { return s.ds.eventReplicas(s.key) }, evKey.Bytes())
+	c, found, err := s.openChild(ctx, roleEvents, n)
 	if err != nil {
 		return nil, err
 	}
 	if !found {
 		return nil, fmt.Errorf("%w: event %d in subrun %d", ErrNoSuchContainer, n, s.Number())
 	}
-	return &Event{container: container{ds: s.ds, key: evKey}, subrun: s}, nil
+	return &Event{container: c, subrun: s}, nil
 }
 
 // Events returns the event numbers in the subrun, ascending.
 func (s *SubRun) Events(ctx context.Context) ([]uint64, error) {
-	return listChildNumbers(ctx, s.ds, eventDBs, s.key)
+	return listChildNumbers(ctx, s.ds, roleEvents, s.key)
 }
 
 // Event handles a numbered event — the natural atomic unit of HEP data.
@@ -349,8 +347,8 @@ func (id EventID) String() string {
 // role's committed replica set (failing over per page when a copy's server
 // is unhealthy). Thanks to big-endian encoding and per-parent placement,
 // the keys come back sorted from a single database.
-func listChildNumbers(ctx context.Context, ds *DataStore, role func(*View) []yokan.DBHandle, parentKey keys.ContainerKey) ([]uint64, error) {
-	pg := ds.pager(role, parentKey.Bytes(), parentKey.Bytes(), listPageSize)
+func listChildNumbers(ctx context.Context, ds *DataStore, r role, parentKey keys.ContainerKey) ([]uint64, error) {
+	pg := ds.pager(place{r, parentKey.Bytes()}, parentKey.Bytes(), listPageSize)
 	var out []uint64
 	for !pg.done {
 		page, err := pg.next(ctx)

@@ -321,8 +321,19 @@ func TestProductsOnAllLevels(t *testing.T) {
 	}
 }
 
+// TestWriteBatch runs unreplicated and at RF=2: either way Pending counts
+// queued updates, not the copies a flush sends.
 func TestWriteBatch(t *testing.T) {
-	ds := newTestStore(t, bedrock.DeploySpec{Servers: 2})
+	for _, rf := range []int{1, 2} {
+		t.Run(fmt.Sprintf("rf%d", rf), func(t *testing.T) { testWriteBatch(t, rf) })
+	}
+}
+
+func testWriteBatch(t *testing.T, rf int) {
+	ds := newTestStore(t, bedrock.DeploySpec{Servers: 2, RF: rf})
+	if ds.RF() != rf {
+		t.Fatalf("RF = %d, want %d", ds.RF(), rf)
+	}
 	ctx := context.Background()
 	d, _ := ds.CreateDataSet(ctx, "batched")
 	wb := ds.NewWriteBatch()
@@ -349,8 +360,8 @@ func TestWriteBatch(t *testing.T) {
 		}
 	}
 	// Nothing is visible before the flush... (containers were queued)
-	if wb.Pending() == 0 {
-		t.Fatal("batch should have pending updates")
+	if got, want := wb.Pending(), 1+4+4*25*2; got != want {
+		t.Fatalf("pending = %d, want %d queued updates", got, want)
 	}
 	if err := wb.Flush(ctx); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"github.com/hep-on-hpc/hepnos-go/internal/asyncengine"
 	"github.com/hep-on-hpc/hepnos-go/internal/keys"
 	"github.com/hep-on-hpc/hepnos-go/internal/qos"
-	"github.com/hep-on-hpc/hepnos-go/internal/yokan"
 )
 
 // Cursors stream a container's children page by page instead of
@@ -50,7 +49,7 @@ type pageData struct {
 type numberCursor struct {
 	ctx      context.Context
 	ds       *DataStore
-	role     func(*View) []yokan.DBHandle
+	role     role
 	parent   keys.ContainerKey
 	pageSize int
 
@@ -74,11 +73,11 @@ type numberCursor struct {
 	degraded int // total loads degraded to on-demand so far
 }
 
-func newNumberCursor(ctx context.Context, ds *DataStore, role func(*View) []yokan.DBHandle, parent keys.ContainerKey, pageSize int) *numberCursor {
+func newNumberCursor(ctx context.Context, ds *DataStore, r role, parent keys.ContainerKey, pageSize int) *numberCursor {
 	if pageSize <= 0 {
 		pageSize = listPageSize
 	}
-	return &numberCursor{ctx: ctx, ds: ds, role: role, parent: parent, pageSize: pageSize}
+	return &numberCursor{ctx: ctx, ds: ds, role: r, parent: parent, pageSize: pageSize}
 }
 
 // fetchPage lists child keys starting after from, skipping over raw pages
@@ -89,7 +88,7 @@ func (c *numberCursor) fetchPage(ctx context.Context, from []byte) pageData {
 	// Cursor paging feeds a caller-driven read loop: interactive class,
 	// whether the fetch runs inline or on the lookahead pool.
 	ctx = qos.WithClass(ctx, qos.ClassInteractive)
-	pg := c.ds.pager(c.role, c.parent.Bytes(), c.parent.Bytes(), c.pageSize)
+	pg := c.ds.pager(place{c.role, c.parent.Bytes()}, c.parent.Bytes(), c.pageSize)
 	pg.from = from
 	var pd pageData
 	for len(pd.cks) == 0 && !pg.done {
@@ -180,7 +179,7 @@ type RunCursor struct {
 // size (0 uses the default).
 func (d *DataSet) RunCursor(ctx context.Context, pageSize int) *RunCursor {
 	return &RunCursor{
-		nc: newNumberCursor(ctx, d.ds, runDBs, d.key, pageSize),
+		nc: newNumberCursor(ctx, d.ds, roleRuns, d.key, pageSize),
 		d:  d,
 	}
 }
@@ -205,7 +204,7 @@ type SubRunCursor struct {
 // SubRunCursor creates a cursor over the run's subruns.
 func (r *Run) SubRunCursor(ctx context.Context, pageSize int) *SubRunCursor {
 	return &SubRunCursor{
-		nc: newNumberCursor(ctx, r.ds, subrunDBs, r.key, pageSize),
+		nc: newNumberCursor(ctx, r.ds, roleSubruns, r.key, pageSize),
 		r:  r,
 	}
 }
@@ -239,7 +238,7 @@ type EventCursor struct {
 // locally.
 func (s *SubRun) EventCursor(ctx context.Context, pageSize int, selectors ...ProductSelector) *EventCursor {
 	c := &EventCursor{
-		nc:       newNumberCursor(ctx, s.ds, eventDBs, s.key, pageSize),
+		nc:       newNumberCursor(ctx, s.ds, roleEvents, s.key, pageSize),
 		s:        s,
 		selector: selectors,
 	}

@@ -154,13 +154,9 @@ type DataStore struct {
 	yc     *yokan.Client
 	engine *asyncengine.Engine
 
-	// view is the committed database view every operation routes by; alt,
-	// when non-nil, is the migration-window alternate (the target view
-	// between BeginMigration and CommitMigration, the outgoing view between
-	// CommitMigration and RetireView). Replica sets union the two so the
-	// copy window dual-writes and dual-reads.
-	view atomic.Pointer[View]
-	alt  atomic.Pointer[View]
+	// views is the committed view every operation routes by and the
+	// migration window's alternate, published together (see viewPair).
+	views atomic.Pointer[viewPair]
 	// migMu serializes migration lifecycle transitions (begin/commit/
 	// abort/retire); data-plane readers stay lock-free on the atomics.
 	migMu sync.Mutex
@@ -286,7 +282,7 @@ func Connect(ctx context.Context, cfg ClientConfig) (*DataStore, error) {
 		mi.Finalize()
 		return nil, err
 	}
-	ds.view.Store(view)
+	ds.views.Store(&viewPair{committed: view})
 
 	// One registry for everything this client measures. Collectors close
 	// over live counters, so building it here costs nothing per operation.
@@ -386,15 +382,20 @@ func discoverView(ctx context.Context, yc *yokan.Client, group bedrock.GroupFile
 	if dupErr != nil {
 		return nil, dupErr
 	}
-	for role, dbs := range map[string][]yokan.DBHandle{
-		"dataset": v.DatasetDBs, "run": v.RunDBs, "subrun": v.SubrunDBs,
-		"event": v.EventDBs, "product": v.ProductDBs,
-	} {
-		if len(dbs) == 0 {
-			return nil, fmt.Errorf("hepnos: connect: service has no %s databases", role)
-		}
+	if r := v.emptyRole(); r != "" {
+		return nil, fmt.Errorf("hepnos: connect: service has no %s databases", r)
 	}
 	return v, nil
+}
+
+// emptyRole names the first role the view has no databases for, or "".
+func (v *View) emptyRole() string {
+	for r, name := range [...]string{"dataset", "run", "subrun", "event", "product"} {
+		if len(role(r).of(v)) == 0 {
+			return name
+		}
+	}
+	return ""
 }
 
 // DiscoverView rediscovers the database view described by group, using this
@@ -407,8 +408,15 @@ func (ds *DataStore) DiscoverView(ctx context.Context, group bedrock.GroupFile) 
 	return discoverView(ctx, ds.yc, group)
 }
 
+// viewPair is one consistent snapshot of the views a DataStore routes by:
+// the committed view and, when non-nil, the migration-window alternate —
+// the target view between BeginMigration and CommitMigration, the outgoing
+// view between CommitMigration and RetireView. Replica sets union the two
+// so the window dual-writes and dual-reads.
+type viewPair struct{ committed, alt *View }
+
 // v returns the committed view. It is never nil after Connect.
-func (ds *DataStore) v() *View { return ds.view.Load() }
+func (ds *DataStore) v() *View { return ds.views.Load().committed }
 
 // pressureController turns per-server backpressure levels (pushed in every
 // RPC reply by a QoS-gated server) into one client-side throttle: the
@@ -559,7 +567,7 @@ func (ds *DataStore) createOneDataSet(ctx context.Context, path string) (*DataSe
 	// With replication the race is arbitrated on one replica and the
 	// winning UUID is copied to the rest.
 	candidate := uuid.New()
-	winner, _, err := ds.replicatedPutIfAbsent(ctx, ds.datasetReplicas(path), []byte(path), candidate[:])
+	winner, _, err := ds.replicatedPutIfAbsent(ctx, ds.replicas(place{roleDatasets, []byte(parentPath(path))}), []byte(path), candidate[:])
 	if err != nil {
 		return nil, err
 	}
@@ -580,7 +588,7 @@ func (ds *DataStore) OpenDataSet(ctx context.Context, path string) (*DataSet, er
 	if err != nil {
 		return nil, err
 	}
-	raw, found, err := ds.get(ctx, func() []yokan.DBHandle { return ds.datasetReplicas(norm) }, []byte(norm))
+	raw, found, err := ds.get(ctx, ds.resolver(place{roleDatasets, []byte(parentPath(norm))}), []byte(norm))
 	if err != nil {
 		return nil, err
 	}
@@ -618,7 +626,7 @@ func (ds *DataStore) ListDataSets(ctx context.Context, parent string) ([]string,
 	}
 	// All children of one parent live in one database (placement is by
 	// parent path), so one paginated scan suffices.
-	pg := ds.pager(datasetDBs, []byte(norm), []byte(prefix), listPageSize)
+	pg := ds.pager(place{roleDatasets, []byte(norm)}, []byte(prefix), listPageSize)
 	var names []string
 	for !pg.done {
 		page, err := pg.next(ctx)

@@ -172,30 +172,26 @@ func (ds *DataStore) BeginMigration(target *View) error {
 	if target == nil {
 		return xerr.New(xerr.ClassInvalid, "hepnos: migration target view is nil")
 	}
-	for role, dbs := range map[string][]yokan.DBHandle{
-		"dataset": target.DatasetDBs, "run": target.RunDBs, "subrun": target.SubrunDBs,
-		"event": target.EventDBs, "product": target.ProductDBs,
-	} {
-		if len(dbs) == 0 {
-			return xerr.Newf(xerr.ClassInvalid, "hepnos: migration target has no %s databases", role)
-		}
+	if r := target.emptyRole(); r != "" {
+		return xerr.Newf(xerr.ClassInvalid, "hepnos: migration target has no %s databases", r)
 	}
 	ds.migMu.Lock()
 	defer ds.migMu.Unlock()
-	if ds.alt.Load() != nil {
+	vp := ds.views.Load()
+	if vp.alt != nil {
 		return ErrMigrationActive
 	}
-	if target.Group.Epoch <= ds.v().Group.Epoch {
+	if target.Group.Epoch <= vp.committed.Group.Epoch {
 		return xerr.Wrap(ErrEpochRegression,
-			fmt.Sprintf("target epoch %d, committed epoch %d", target.Group.Epoch, ds.v().Group.Epoch))
+			fmt.Sprintf("target epoch %d, committed epoch %d", target.Group.Epoch, vp.committed.Group.Epoch))
 	}
-	ds.alt.Store(target)
+	ds.views.Store(&viewPair{committed: vp.committed, alt: target})
 	return nil
 }
 
 // AltView returns the migration window's alternate view (nil outside a
 // window): the target before commit, the outgoing view after.
-func (ds *DataStore) AltView() *View { return ds.alt.Load() }
+func (ds *DataStore) AltView() *View { return ds.views.Load().alt }
 
 // AbortMigration rolls a not-yet-committed migration back: the alternate
 // view is dropped, restoring single-view operation on the committed view.
@@ -205,16 +201,16 @@ func (ds *DataStore) AltView() *View { return ds.alt.Load() }
 func (ds *DataStore) AbortMigration() error {
 	ds.migMu.Lock()
 	defer ds.migMu.Unlock()
-	alt := ds.alt.Load()
-	if alt == nil {
+	vp := ds.views.Load()
+	if vp.alt == nil {
 		return ErrNoMigration
 	}
-	if alt.Group.Epoch <= ds.v().Group.Epoch {
+	if vp.alt.Group.Epoch <= vp.committed.Group.Epoch {
 		// The alternate is the *outgoing* view: the migration already
 		// committed, rollback is no longer possible, only retire.
 		return xerr.New(xerr.ClassConflict, "hepnos: migration already committed; retire instead of abort")
 	}
-	ds.alt.Store(nil)
+	ds.views.Store(&viewPair{committed: vp.committed})
 	return nil
 }
 
@@ -421,16 +417,16 @@ func (ds *DataStore) CommitMigration(target *View) error {
 	}
 	ds.migMu.Lock()
 	defer ds.migMu.Unlock()
-	if ds.alt.Load() != target {
+	vp := ds.views.Load()
+	if vp.alt != target {
 		return xerr.New(xerr.ClassInvalid, "hepnos: commit target is not the active migration's view")
 	}
-	if target.Group.Epoch <= ds.v().Group.Epoch {
+	outgoing := vp.committed
+	if target.Group.Epoch <= outgoing.Group.Epoch {
 		return xerr.Wrap(ErrEpochRegression,
-			fmt.Sprintf("target epoch %d, committed epoch %d", target.Group.Epoch, ds.v().Group.Epoch))
+			fmt.Sprintf("target epoch %d, committed epoch %d", target.Group.Epoch, outgoing.Group.Epoch))
 	}
-	outgoing := ds.v()
-	ds.view.Store(target)
-	ds.alt.Store(outgoing)
+	ds.views.Store(&viewPair{committed: target, alt: outgoing})
 	ds.viewGen.Add(1)
 	ds.refreshMembership(outgoing, target)
 	return nil
@@ -469,8 +465,8 @@ func (ds *DataStore) RetireView(ctx context.Context) (int, error) {
 		return 0, ErrClosed
 	}
 	ds.migMu.Lock()
-	outgoing := ds.alt.Load()
-	committed := ds.v()
+	vp := ds.views.Load()
+	outgoing, committed := vp.alt, vp.committed
 	if outgoing == nil {
 		ds.migMu.Unlock()
 		return 0, ErrNoMigration
@@ -523,8 +519,8 @@ func (ds *DataStore) RetireView(ctx context.Context) (int, error) {
 	ds.migMu.Lock()
 	// Only clear if the window is still ours (a concurrent begin is
 	// impossible while alt is non-nil, but stay defensive).
-	if ds.alt.Load() == outgoing {
-		ds.alt.Store(nil)
+	if vp := ds.views.Load(); vp.alt == outgoing {
+		ds.views.Store(&viewPair{committed: vp.committed})
 	}
 	ds.viewGen.Add(1)
 	ds.migMu.Unlock()

@@ -8,10 +8,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/bedrock"
 	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
+	"github.com/hep-on-hpc/hepnos-go/internal/keys"
 	"github.com/hep-on-hpc/hepnos-go/internal/mpi"
 	"github.com/hep-on-hpc/hepnos-go/internal/serde"
 	"github.com/hep-on-hpc/hepnos-go/internal/yokan"
@@ -84,6 +86,13 @@ func viewOf(t *testing.T, ds *DataStore, d *bedrock.Deployment, n int, epoch uin
 // stats.
 func migrate(t *testing.T, ds *DataStore, target *View) CopyStats {
 	t.Helper()
+	return migrateSteps(t, ds, target, func(string) {})
+}
+
+// migrateSteps is migrate with a hook that runs after the verify, commit
+// and retire steps, named by its argument.
+func migrateSteps(t *testing.T, ds *DataStore, target *View, after func(step string)) CopyStats {
+	t.Helper()
 	ctx := context.Background()
 	if err := ds.BeginMigration(target); err != nil {
 		t.Fatal(err)
@@ -107,12 +116,15 @@ func migrate(t *testing.T, ds *DataStore, target *View) CopyStats {
 			t.Fatalf("verify still repairing %d copies after %d rounds", repaired, round)
 		}
 	}
+	after("verify")
 	if err := ds.CommitMigration(target); err != nil {
 		t.Fatal(err)
 	}
+	after("commit")
 	if _, err := ds.RetireView(ctx); err != nil {
 		t.Fatal(err)
 	}
+	after("retire")
 	return st
 }
 
@@ -579,5 +591,289 @@ func TestPaginatedReadsAcrossCommitAndRetire(t *testing.T) {
 		} else if !reflect.DeepEqual(res.got, want[i]) {
 			t.Errorf("%s across commit and retire differs from the quiet-view read", r.name)
 		}
+	}
+}
+
+// TestWriteBatchPlacesAtFlush pins that a WriteBatch decides where an
+// update goes when it is sent, not when it is queued (DESIGN.md §18). A
+// batch is queued on the quiet view — a subrun, its events, a row product
+// and a columnar product per event, enough rows to seal pages before the
+// flush — and flushed after the verify, commit or retire step of an RF=2
+// grow 4 → 8. Once the window closes every event must be listed and every
+// product must load with its stored value. The subrun is chosen so that
+// its event and page replica sets under the new view share no database
+// with the old: a write sent to the old view alone is erased by retire.
+func TestWriteBatchPlacesAtFlush(t *testing.T) {
+	registerScanTrack(t)
+	const events, rowsPerEvent = 64, 8 // 512 rows: two pages seal while queueing
+	for _, flushAfter := range []string{"verify", "commit", "retire"} {
+		t.Run("flush-after-"+flushAfter, func(t *testing.T) {
+			ctx := context.Background()
+			spec := bedrock.DeploySpec{
+				Servers:             4,
+				ProvidersPerServer:  2,
+				EventDBsPerServer:   4,
+				ProductDBsPerServer: 4,
+				RF:                  2,
+				NamePrefix:          fmt.Sprintf("placeflush-%d", deploySeq.Add(1)),
+			}
+			d, err := bedrock.Deploy(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.Shutdown)
+			ds, err := Connect(ctx, ClientConfig{Group: d.Group})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(ds.Close)
+			bootExtra(t, d, spec, 4)
+			v4, v8 := ds.v(), viewOf(t, ds, d, 8, 2)
+
+			dset, err := ds.CreateDataSet(ctx, "placeflush")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := dset.CreateRun(ctx, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved := func(r role, key []byte) bool {
+				for _, db := range ds.replicasFor(r.of(v8), key) {
+					if containsDB(ds.replicasFor(r.of(v4), key), db) {
+						return false
+					}
+				}
+				return true
+			}
+			srNum := uint64(0)
+			for k := run.key.Child(srNum).Bytes(); !moved(roleEvents, k) || !moved(roleProducts, k); k = run.key.Child(srNum).Bytes() {
+				if srNum++; srNum > 4096 {
+					t.Fatal("no subrun whose event and page replicas all move")
+				}
+			}
+
+			trk := func(e uint64) []scanTrack {
+				rows := make([]scanTrack, rowsPerEvent)
+				for r := range rows {
+					rows[r] = scanTrack{ID: uint32(e*10) + uint32(r), Pt: float32(e), Q: int32(r), Tag: "t"}
+				}
+				return rows
+			}
+			wb := ds.NewWriteBatch()
+			sr, err := wb.CreateSubRun(ctx, run, srNum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := uint64(0); e < events; e++ {
+				ev, err := wb.CreateEvent(ctx, sr, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := wb.Store(ctx, ev, "p", particle{X: float32(e)}); err != nil {
+					t.Fatal(err)
+				}
+				if err := wb.Store(ctx, ev, "trk", trk(e)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			migrateSteps(t, ds, v8, func(step string) {
+				if step == flushAfter {
+					if err := wb.Flush(ctx); err != nil {
+						t.Fatalf("flush after %s: %v", step, err)
+					}
+				}
+			})
+
+			nums, err := sr.Events(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(nums) != events {
+				t.Fatalf("listed %d events, want %d", len(nums), events)
+			}
+			for e := uint64(0); e < events; e++ {
+				ev, err := sr.Event(ctx, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var p particle
+				if err := ev.Load(ctx, "p", &p); err != nil || p.X != float32(e) {
+					t.Fatalf("event %d row product = %+v, %v", e, p, err)
+				}
+				var rows []scanTrack
+				if err := ev.Load(ctx, "trk", &rows); err != nil || !reflect.DeepEqual(rows, trk(e)) {
+					t.Fatalf("event %d columnar product = %v, %v", e, rows, err)
+				}
+			}
+		})
+	}
+}
+
+// TestViewPairResolvesConsistently races replica-set resolution against
+// migration transitions: readers resolve in a loop while the main goroutine
+// runs Begin → Commit → Retire cycles with rising epochs, alternating
+// between two views whose event databases place a key differently. A set
+// resolved while a window stayed open throughout must include the window
+// target's replicas — a resolve that read the committed view before a
+// commit and the alternate after it would miss them, and retire would then
+// erase a write sent there.
+func TestViewPairResolvesConsistently(t *testing.T) {
+	ds, _, _ := newTestCluster(t, bedrock.DeploySpec{Servers: 2, EventDBsPerServer: 4})
+	ctx := context.Background()
+	base := ds.v()
+	parent := keys.ForDataSet([keys.UUIDLen]byte{3}).Child(1).Child(2).Bytes()
+	// shifted returns base with its event databases rotated by one, so the
+	// parent's home differs between the two views.
+	shifted := func(v View) *View {
+		v.EventDBs = append(append([]yokan.DBHandle(nil), v.EventDBs[1:]...), v.EventDBs[0])
+		return &v
+	}
+	views := [2]*View{base, shifted(*base)}
+	if ds.replicasFor(views[0].EventDBs, parent)[0] == ds.replicasFor(views[1].EventDBs, parent)[0] {
+		t.Fatal("test bug: both views place the parent on one database")
+	}
+
+	// window holds the open window's target while the main goroutine is
+	// between a returned BeginMigration and the start of RetireView.
+	var window atomic.Pointer[View]
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var bad atomic.Int64
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				before := window.Load()
+				set := ds.replicas(place{roleEvents, parent})
+				if before == nil || window.Load() != before {
+					continue
+				}
+				for _, db := range ds.replicasFor(before.EventDBs, parent) {
+					if !containsDB(set, db) {
+						bad.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	epoch := base.Group.Epoch
+	for cycle := 0; cycle < 2000; cycle++ {
+		epoch++
+		next := *views[(cycle+1)%2]
+		next.Group.Epoch = epoch
+		if err := ds.BeginMigration(&next); err != nil {
+			t.Fatal(err)
+		}
+		window.Store(&next)
+		if err := ds.CommitMigration(&next); err != nil {
+			t.Fatal(err)
+		}
+		window.Store(nil)
+		if _, err := ds.RetireView(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := bad.Load(); n > 0 {
+		t.Fatalf("%d replica sets resolved inside a window missed the target's replicas", n)
+	}
+}
+
+// TestWritesInFlightAcrossMigration parks one write RPC after its replica
+// set was resolved on the quiet view and before it reaches the server, runs
+// a whole grow 4 → 8 (Begin → Copy → Verify → Commit → Retire), and only
+// then lets it go. The write must still be readable through the new view:
+// a write whose views moved while it was in flight is sent again, placed
+// anew. Both write paths are covered, a WriteBatch flush (one put_multi)
+// and a direct CreateEvent (one put); the subrun is chosen so its event
+// home moves.
+func TestWritesInFlightAcrossMigration(t *testing.T) {
+	const events = 8
+	for _, path := range []struct {
+		name, rpc string
+		want      int // events listed afterwards
+	}{{"batch", "#put_multi", events}, {"direct", "#put", 1}} {
+		t.Run(path.name, func(t *testing.T) {
+			ctx := context.Background()
+			spec := bedrock.DeploySpec{
+				Servers:             4,
+				ProvidersPerServer:  2,
+				EventDBsPerServer:   4,
+				ProductDBsPerServer: 4,
+				NamePrefix:          fmt.Sprintf("inflight-%d", deploySeq.Add(1)),
+			}
+			d, err := bedrock.Deploy(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.Shutdown)
+			gate := &rpcGate{trapped: make(chan struct{}), release: make(chan struct{})}
+			defer gate.resume() // a failing assertion must not strand the parked write
+			ds, err := Connect(ctx, ClientConfig{Group: d.Group, NetSim: &fabric.NetSim{Fault: gate.fault}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(ds.Close)
+			bootExtra(t, d, spec, 4)
+			v4, v8 := ds.v(), viewOf(t, ds, d, 8, 2)
+
+			dset, err := ds.CreateDataSet(ctx, "inflight")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := dset.CreateRun(ctx, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			home := func(dbs []yokan.DBHandle, key []byte) yokan.DBHandle { return ds.replicasFor(dbs, key)[0] }
+			srNum := uint64(0)
+			for k := run.key.Child(srNum).Bytes(); home(v4.EventDBs, k) == home(v8.EventDBs, k); k = run.key.Child(srNum).Bytes() {
+				srNum++
+			}
+			sr, err := run.CreateSubRun(ctx, srNum)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			gate.arm(path.rpc, 1)
+			done := make(chan error, 1)
+			go func() {
+				if path.name == "direct" {
+					_, err := sr.CreateEvent(ctx, 0)
+					done <- err
+					return
+				}
+				wb := ds.NewWriteBatch()
+				for e := uint64(0); e < events; e++ {
+					if _, err := wb.CreateEvent(ctx, sr, e); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- wb.Flush(ctx)
+			}()
+			<-gate.trapped
+			migrate(t, ds, v8)
+			gate.resume()
+			if err := <-done; err != nil {
+				t.Fatalf("write parked across the migration: %v", err)
+			}
+			nums, err := sr.Events(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(nums) != path.want {
+				t.Fatalf("listed %d events after the migration, want %d", len(nums), path.want)
+			}
+		})
 	}
 }

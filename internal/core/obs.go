@@ -17,61 +17,33 @@ func (ds *DataStore) Tracer() *obs.Tracer { return ds.tracer }
 // registerCoreMetrics wires the datastore's own cumulative counters into
 // the client registry.
 func (ds *DataStore) registerCoreMetrics() {
-	ds.registry.MustRegister(obs.MetricPEPEvents,
-		"Events processed by this rank's ParallelEventProcessor workers.",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.pepEvents.Load()))
+	counter := func(name, help string, ctr *atomic.Int64) {
+		ds.registry.MustRegister(name, help, obs.TypeCounter, func() []obs.Sample {
+			return obs.GaugeSample(float64(ctr.Load()))
 		})
-	ds.registry.MustRegister(obs.MetricPEPBatches,
-		"Work batches processed by this rank's ParallelEventProcessor workers.",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.pepBatches.Load()))
-		})
-	ds.registry.MustRegister(obs.MetricPrefetchLoads,
-		"Product loads requested by the Prefetcher.",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.prefetchLoads.Load()))
-		})
-	ds.registry.MustRegister(obs.MetricPrefetchDegrade,
-		"Prefetch product loads degraded to on-demand RPCs by failed groups.",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.prefetchDegraded.Load()))
-		})
-	ds.registry.MustRegister(obs.MetricFailoverReads,
-		"Reads served by a replica because the placement primary was unhealthy.",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.failoverReads.Load()))
-		})
-	ds.registry.MustRegister(obs.MetricReplicaWrites,
-		"Extra copies written beyond the first for replicated keys.",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.replicaWrites.Load()))
-		})
-	ds.registry.MustRegister(obs.MetricReplicaDrops,
-		"Replica copies dropped because their server was down (replayed by resync).",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.replicaDrops.Load()))
-		})
-	ds.registry.MustRegister(obs.MetricResyncReplayed,
-		"Keys replayed onto rejoined servers by the anti-entropy pass.",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.resyncReplayed.Load()))
-		})
-	ds.registry.MustRegister(obs.MetricRebalanceCopied,
-		"Key copies written to migration target databases by live rebalancing.",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.migrationCopied.Load()))
-		})
-	ds.registry.MustRegister(obs.MetricRebalanceRepaired,
-		"Missing target copies healed by the migration verify pass.",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.migrationRepaired.Load()))
-		})
-	ds.registry.MustRegister(obs.MetricRebalanceErased,
-		"Stale keys erased from outgoing databases by migration retire.",
-		obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ds.migrationErased.Load()))
-		})
+	}
+	counter(obs.MetricPEPEvents,
+		"Events processed by this rank's ParallelEventProcessor workers.", &ds.pepEvents)
+	counter(obs.MetricPEPBatches,
+		"Work batches processed by this rank's ParallelEventProcessor workers.", &ds.pepBatches)
+	counter(obs.MetricPrefetchLoads,
+		"Product loads requested by the Prefetcher.", &ds.prefetchLoads)
+	counter(obs.MetricPrefetchDegrade,
+		"Prefetch product loads degraded to on-demand RPCs by failed groups.", &ds.prefetchDegraded)
+	counter(obs.MetricFailoverReads,
+		"Reads served by a replica because the placement primary was unhealthy.", &ds.failoverReads)
+	counter(obs.MetricReplicaWrites,
+		"Extra copies written beyond the first for replicated keys.", &ds.replicaWrites)
+	counter(obs.MetricReplicaDrops,
+		"Replica copies dropped because their server was down (replayed by resync).", &ds.replicaDrops)
+	counter(obs.MetricResyncReplayed,
+		"Keys replayed onto rejoined servers by the anti-entropy pass.", &ds.resyncReplayed)
+	counter(obs.MetricRebalanceCopied,
+		"Key copies written to migration target databases by live rebalancing.", &ds.migrationCopied)
+	counter(obs.MetricRebalanceRepaired,
+		"Missing target copies healed by the migration verify pass.", &ds.migrationRepaired)
+	counter(obs.MetricRebalanceErased,
+		"Stale keys erased from outgoing databases by migration retire.", &ds.migrationErased)
 	ds.registry.MustRegister(obs.MetricRebalanceEpoch,
 		"Membership epoch of this client's committed view.",
 		obs.TypeGauge, func() []obs.Sample {
@@ -79,21 +51,16 @@ func (ds *DataStore) registerCoreMetrics() {
 		})
 	// Client-side pushdown-scan accounting; the server-side counterparts
 	// (same family names, provider label) live in the yokan providers.
-	scanCounter := func(name, help string, ctr *atomic.Int64) {
-		ds.registry.MustRegister(name, help, obs.TypeCounter, func() []obs.Sample {
-			return obs.GaugeSample(float64(ctr.Load()))
-		})
-	}
-	scanCounter(obs.MetricScans,
+	counter(obs.MetricScans,
 		"Pushdown scan RPCs issued by this client.", &ds.scanRequests)
-	scanCounter(obs.MetricScanPages,
+	counter(obs.MetricScanPages,
 		"Columnar pages examined by this client's pushdown scans.", &ds.scanPagesScanned)
-	scanCounter(obs.MetricScanRowsScanned,
+	counter(obs.MetricScanRowsScanned,
 		"Rows examined by this client's pushdown scans.", &ds.scanRowsScanned)
-	scanCounter(obs.MetricScanRowsMatched,
+	counter(obs.MetricScanRowsMatched,
 		"Rows surviving this client's pushdown-scan predicates.", &ds.scanRowsMatched)
-	scanCounter(obs.MetricScanBytesReturned,
+	counter(obs.MetricScanBytesReturned,
 		"Bytes returned to this client by pushdown scans.", &ds.scanBytesReturned)
-	scanCounter(obs.MetricScanBytesSaved,
+	counter(obs.MetricScanBytesSaved,
 		"Wire bytes pushdown scans saved this client versus full row-path decode.", &ds.scanBytesSaved)
 }

@@ -83,7 +83,7 @@ func columnarRows(value any) int {
 type openPage struct {
 	schema *serde.ColumnSchema
 	group  []byte
-	srKey  keys.ContainerKey
+	to     place // the subrun's product databases
 	meta   yokan.PageMeta
 	cols   [][]byte
 	bytes  int    // column bytes accumulated, drives pageSealBytes
@@ -94,7 +94,7 @@ func newOpenPage(schema *serde.ColumnSchema, group []byte, srKey keys.ContainerK
 	return &openPage{
 		schema: schema,
 		group:  group,
-		srKey:  srKey,
+		to:     place{roleProducts, srKey.Bytes()},
 		cols:   make([][]byte, schema.NumFields()),
 	}
 }

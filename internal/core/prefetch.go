@@ -79,7 +79,7 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 		if err != nil {
 			continue
 		}
-		replicas := p.ds.productReplicas(ck)
+		replicas := p.ds.replicas(place{roleProducts, ck.Bytes()})
 		order := p.ds.readOrder(replicas)
 		db := order[0]
 		g := byDB[db]

@@ -8,7 +8,6 @@ import (
 	"github.com/hep-on-hpc/hepnos-go/internal/asyncengine"
 	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
 	"github.com/hep-on-hpc/hepnos-go/internal/health"
-	"github.com/hep-on-hpc/hepnos-go/internal/keys"
 	"github.com/hep-on-hpc/hepnos-go/internal/xerr"
 	"github.com/hep-on-hpc/hepnos-go/internal/yokan"
 )
@@ -45,27 +44,45 @@ func (ds *DataStore) replicasFor(dbs []yokan.DBHandle, parentKey []byte) []yokan
 	return out
 }
 
-// Per-role replica sets, mirroring the single-database helpers in
-// datastore.go (same parent-key placement rule, §II-C).
-//
-// During a live migration (DESIGN.md §18) the sets are the *union* of the
-// committed view's replicas and the alternate view's: writes land in both
-// views (dual-write, so nothing ingested during the copy window is lost
-// across the epoch bump), and reads keep the committed view's replicas
-// first — the read owner never changes mid-migration, which the PEP
-// exactly-once dedup relies on — while gaining the other view's copies as
-// last-resort fallbacks.
+// role names one database role of a view.
+type role uint8
 
-// unionReplicas builds the replica set for parentKey from the committed
-// view's role databases, appending the alternate view's replicas (deduped)
-// while a migration window is open.
-func (ds *DataStore) unionReplicas(role func(*View) []yokan.DBHandle, parentKey []byte) []yokan.DBHandle {
-	out := ds.replicasFor(role(ds.v()), parentKey)
-	alt := ds.alt.Load()
-	if alt == nil {
+const (
+	roleDatasets role = iota
+	roleRuns
+	roleSubruns
+	roleEvents
+	roleProducts
+)
+
+// of returns the view's databases of the role.
+func (r role) of(v *View) []yokan.DBHandle {
+	return [...][]yokan.DBHandle{v.DatasetDBs, v.RunDBs, v.SubrunDBs, v.EventDBs, v.ProductDBs}[r]
+}
+
+// place says where a key goes: the databases of a role, chosen by the
+// parent key that places it (§II-C). A dataset's key places its runs, a
+// run's its subruns, a subrun's its events and columnar pages, and any
+// container's its row products. Writes carry a place, never a replica set:
+// the set is resolved when the write is sent, against the views current
+// then.
+type place struct {
+	role   role
+	parent []byte
+}
+
+// replicasIn resolves p's replica set under one snapshot of the views. It
+// is the committed view's replicas and, during a live migration (DESIGN.md
+// §18), the alternate view's after them (deduped): writes land in both
+// views, so nothing written in the window is lost across the epoch bump,
+// and reads keep the committed view's read owner — the PEP exactly-once
+// dedup relies on it — with the other copies as last-resort fallbacks.
+func (ds *DataStore) replicasIn(vp *viewPair, p place) []yokan.DBHandle {
+	out := ds.replicasFor(p.role.of(vp.committed), p.parent)
+	if vp.alt == nil {
 		return out
 	}
-	for _, db := range ds.replicasFor(role(alt), parentKey) {
+	for _, db := range ds.replicasFor(p.role.of(vp.alt), p.parent) {
 		if !containsDB(out, db) {
 			out = append(out, db)
 		}
@@ -73,32 +90,14 @@ func (ds *DataStore) unionReplicas(role func(*View) []yokan.DBHandle, parentKey 
 	return out
 }
 
-// Role accessors: a view's databases by role, shared by the replica-set
-// helpers below, the page-read resolvers and the migration key-walk.
-func datasetDBs(v *View) []yokan.DBHandle { return v.DatasetDBs }
-func runDBs(v *View) []yokan.DBHandle     { return v.RunDBs }
-func subrunDBs(v *View) []yokan.DBHandle  { return v.SubrunDBs }
-func eventDBs(v *View) []yokan.DBHandle   { return v.EventDBs }
-func productDBs(v *View) []yokan.DBHandle { return v.ProductDBs }
-
-func (ds *DataStore) datasetReplicas(path string) []yokan.DBHandle {
-	return ds.unionReplicas(datasetDBs, []byte(parentPath(path)))
+// replicas resolves p's replica set under the current views.
+func (ds *DataStore) replicas(p place) []yokan.DBHandle {
+	return ds.replicasIn(ds.views.Load(), p)
 }
 
-func (ds *DataStore) runReplicas(dsKey keys.ContainerKey) []yokan.DBHandle {
-	return ds.unionReplicas(runDBs, dsKey.Bytes())
-}
-
-func (ds *DataStore) subrunReplicas(runKey keys.ContainerKey) []yokan.DBHandle {
-	return ds.unionReplicas(subrunDBs, runKey.Bytes())
-}
-
-func (ds *DataStore) eventReplicas(srKey keys.ContainerKey) []yokan.DBHandle {
-	return ds.unionReplicas(eventDBs, srKey.Bytes())
-}
-
-func (ds *DataStore) productReplicas(ck keys.ContainerKey) []yokan.DBHandle {
-	return ds.unionReplicas(productDBs, ck.Bytes())
+// resolver re-resolves p's replica set on every call, for replicaRead.
+func (ds *DataStore) resolver(p place) func() []yokan.DBHandle {
+	return func() []yokan.DBHandle { return ds.replicas(p) }
 }
 
 // readOrder reorders a replica set for reading: Alive servers first, then
@@ -174,7 +173,7 @@ func (ds *DataStore) countFailover(primary, used yokan.DBHandle) {
 // union set resolved while the window was still open — and in either case
 // a miss only counts when every replica in the set agrees.
 func (ds *DataStore) softMiss(replicas []yokan.DBHandle) bool {
-	return len(replicas) > ds.rf || ds.alt.Load() != nil
+	return len(replicas) > ds.rf || ds.views.Load().alt != nil
 }
 
 // missRetries bounds the re-resolve loop in replicaRead: a migration
@@ -310,20 +309,19 @@ func (p *keyPager) next(ctx context.Context) ([][]byte, error) {
 }
 
 // committedReplicas resolves the replica set of a page read (key listing or
-// scan) for keys placed by parentKey: the committed view's replicas only.
-// Unlike the per-role helpers above it does not union in the migration
-// alternate — a page has no "miss" another copy could overrule, and the
-// alternate's copy of a key range is incomplete until the window closes.
-func (ds *DataStore) committedReplicas(role func(*View) []yokan.DBHandle, parentKey []byte) []yokan.DBHandle {
-	return ds.replicasFor(role(ds.v()), parentKey)
+// scan) for keys placed by p: the committed view's replicas only. Unlike
+// replicas it does not union in the migration alternate — a page has no
+// "miss" another copy could overrule, and the alternate's copy of a key
+// range is incomplete until the window closes.
+func (ds *DataStore) committedReplicas(p place) []yokan.DBHandle {
+	return ds.replicasFor(p.role.of(ds.v()), p.parent)
 }
 
-// pager lists the keys under prefix held by the role's committed replica
-// set for parentKey.
-func (ds *DataStore) pager(role func(*View) []yokan.DBHandle, parentKey, prefix []byte, size int) keyPager {
+// pager lists the keys under prefix held by p's committed replica set.
+func (ds *DataStore) pager(p place, prefix []byte, size int) keyPager {
 	return keyPager{
 		ds:      ds,
-		resolve: func() []yokan.DBHandle { return ds.committedReplicas(role, parentKey) },
+		resolve: func() []yokan.DBHandle { return ds.committedReplicas(p) },
 		prefix:  prefix,
 		size:    size,
 	}
@@ -355,12 +353,25 @@ func (ds *DataStore) writeTolerable(db yokan.DBHandle, err error) bool {
 	return ds.health.UnusableCount() < ds.rf
 }
 
-// replicatedPut writes one key to every database of its replica set, the
+// replicatedPut writes one key to every database of its replica set,
+// resolved when it is sent, and sends it again, placed anew, if the views
+// moved before the copies were acknowledged — such a copy may have landed
+// where a migration no longer looks (DESIGN.md §18).
+func (ds *DataStore) replicatedPut(ctx context.Context, to place, key, val []byte) error {
+	for {
+		vp := ds.views.Load()
+		if err := ds.putReplicas(ctx, ds.replicasIn(vp, to), key, val); err != nil || ds.views.Load() == vp {
+			return err
+		}
+	}
+}
+
+// putReplicas writes one key to every database of a replica set, the
 // copies riding the async engine's RPC pool in parallel (§II-D — replica
 // writes must not halve ingest throughput). It succeeds when the update is
 // durable: at least one copy landed and every failed copy was tolerable per
 // writeTolerable.
-func (ds *DataStore) replicatedPut(ctx context.Context, replicas []yokan.DBHandle, key, val []byte) error {
+func (ds *DataStore) putReplicas(ctx context.Context, replicas []yokan.DBHandle, key, val []byte) error {
 	if len(replicas) == 1 {
 		return ds.yc.Put(ctx, replicas[0], key, val)
 	}

@@ -75,14 +75,14 @@ func TestReplicaPlacementDistinctServers(t *testing.T) {
 			t.Fatalf("%s: both replicas on %s", what, set[0].Addr)
 		}
 	}
-	check("runs", ds.runReplicas(d.key), v.RunDBs, d.key)
+	check("runs", ds.replicas(place{roleRuns, d.key.Bytes()}), v.RunDBs, d.key)
 	for r := uint64(0); r < 8; r++ {
 		runKey := d.key.Child(r)
-		check("subruns", ds.subrunReplicas(runKey), v.SubrunDBs, runKey)
+		check("subruns", ds.replicas(place{roleSubruns, runKey.Bytes()}), v.SubrunDBs, runKey)
 		for s := uint64(0); s < 8; s++ {
 			srKey := runKey.Child(s)
-			check("events", ds.eventReplicas(srKey), v.EventDBs, srKey)
-			check("products", ds.productReplicas(srKey.Child(s)), v.ProductDBs, srKey.Child(s))
+			check("events", ds.replicas(place{roleEvents, srKey.Bytes()}), v.EventDBs, srKey)
+			check("products", ds.replicas(place{roleProducts, srKey.Child(s).Bytes()}), v.ProductDBs, srKey.Child(s))
 		}
 	}
 }
@@ -92,7 +92,7 @@ func TestReplicationOffByDefault(t *testing.T) {
 	if ds.RF() != 1 {
 		t.Fatalf("RF = %d, want 1 without a deployment RF", ds.RF())
 	}
-	set := ds.eventReplicas(keys.ForDataSet([keys.UUIDLen]byte{1}).Child(1).Child(2))
+	set := ds.replicas(place{roleEvents, keys.ForDataSet([keys.UUIDLen]byte{1}).Child(1).Child(2).Bytes()})
 	if len(set) != 1 {
 		t.Fatalf("rf=1 replica set has %d members", len(set))
 	}
@@ -100,7 +100,7 @@ func TestReplicationOffByDefault(t *testing.T) {
 
 func TestReadOrderHealthGating(t *testing.T) {
 	ds, _, _ := newTestCluster(t, bedrock.DeploySpec{Servers: 3, RF: 2})
-	replicas := ds.eventReplicas(keys.ForDataSet([keys.UUIDLen]byte{9}).Child(7).Child(3))
+	replicas := ds.replicas(place{roleEvents, keys.ForDataSet([keys.UUIDLen]byte{9}).Child(7).Child(3).Bytes()})
 	primary := string(replicas[0].Addr)
 	h := ds.Health()
 
@@ -137,7 +137,7 @@ func TestReadOrderHealthGating(t *testing.T) {
 func pickSubRunOn(t *testing.T, ds *DataStore, runKey keys.ContainerKey, addr fabric.Address, onPrimary bool) uint64 {
 	t.Helper()
 	for s := uint64(0); s < 256; s++ {
-		set := ds.eventReplicas(runKey.Child(s))
+		set := ds.replicas(place{roleEvents, runKey.Child(s).Bytes()})
 		if onPrimary {
 			if set[0].Addr == addr {
 				return s
@@ -397,7 +397,7 @@ func TestResyncServerRoundTrip(t *testing.T) {
 	// Directly verify the replay landed: the rebooted server came up with
 	// empty databases, so the outage-written event keys can only be there
 	// if anti-entropy delivered them.
-	evSet := ds.eventReplicas(sr.key)
+	evSet := ds.replicas(place{roleEvents, sr.key.Bytes()})
 	var victimDB, otherDB yokan.DBHandle
 	for _, db := range evSet {
 		if db.Addr == victimAddr {

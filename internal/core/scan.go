@@ -60,7 +60,7 @@ func allColumns(schema *serde.ColumnSchema) []uint32 {
 func (c *container) loadColumnar(ctx context.Context, schema *serde.ColumnSchema, label string, ptr any) (found bool, err error) {
 	srKey, _ := c.key.Parent()
 	ev := c.key.Number()
-	resolve := func() []yokan.DBHandle { return c.ds.committedReplicas(productDBs, srKey.Bytes()) }
+	resolve := func() []yokan.DBHandle { return c.ds.committedReplicas(place{roleProducts, srKey.Bytes()}) }
 	req := yokan.ScanRequest{
 		Group: pageGroupKey(srKey, label, schema.TypeName()),
 		Cols:  allColumns(schema),
@@ -94,7 +94,7 @@ func (c *container) loadColumnar(ctx context.Context, schema *serde.ColumnSchema
 func (c *container) hasColumnar(ctx context.Context, schema *serde.ColumnSchema, label string) (bool, error) {
 	srKey, _ := c.key.Parent()
 	ev := c.key.Number()
-	resolve := func() []yokan.DBHandle { return c.ds.committedReplicas(productDBs, srKey.Bytes()) }
+	resolve := func() []yokan.DBHandle { return c.ds.committedReplicas(place{roleProducts, srKey.Bytes()}) }
 	req := yokan.ScanRequest{
 		Group: pageGroupKey(srKey, label, schema.TypeName()),
 		Lo:    ev, Hi: ev,
@@ -278,7 +278,7 @@ func (c *ScanCursor) nextSubrun() bool {
 // set); surviving rows may still be empty on a true return.
 func (c *ScanCursor) fetch() bool {
 	sp := c.ds.tracer.Start("core:scan", obs.KindInternal, obs.SpanFromContext(c.ctx), "")
-	resolve := func() []yokan.DBHandle { return c.ds.committedReplicas(productDBs, c.srKey.Bytes()) }
+	resolve := func() []yokan.DBHandle { return c.ds.committedReplicas(place{roleProducts, c.srKey.Bytes()}) }
 	res, err := c.ds.scanPage(c.ctx, resolve, yokan.ScanRequest{
 		Group: c.group,
 		Pred:  c.pred,

@@ -183,7 +183,7 @@ func TestScanPushdownE2E(t *testing.T) {
 	// Kill the placement primary of a seeded page group: the replicas
 	// must serve a byte-identical scan.
 	victimGroup := srKeys[rng.Intn(len(srKeys))]
-	victimAddr := ds.productReplicas(victimGroup)[0].Addr
+	victimAddr := ds.replicas(place{roleProducts, victimGroup.Bytes()})[0].Addr
 	victim := -1
 	for i, srv := range d.Group.Servers {
 		if fabric.Address(srv.Address) == victimAddr {
