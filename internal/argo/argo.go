@@ -9,11 +9,10 @@
 // locality".
 //
 // Goroutines already are user-level threads, so this package does not
-// reimplement context switching; what it reproduces is the *structure* that
-// the rest of the system configures and reasons about: named pools with a
-// scheduling discipline, execution streams bound to ordered pool lists, and
-// eventuals for completion signalling. An execution stream runs one task at
-// a time, exactly like an Argobots ES running ULTs without preemption.
+// reimplement context switching; what it keeps is the structure the rest of
+// the system configures: named FIFO pools, each drained by its own fixed
+// number of execution streams. A stream runs one task at a time to
+// completion, like an Argobots ES running ULTs without preemption.
 package argo
 
 import (
@@ -26,480 +25,166 @@ import (
 // Task is a unit of work (a ULT body).
 type Task func()
 
-// Priority orders tasks within a priority pool. Lower values run first.
-type Priority int
-
-// Priorities for the priority scheduler.
-const (
-	PriorityHigh   Priority = 0
-	PriorityNormal Priority = 1
-	PriorityLow    Priority = 2
-)
-
-// SchedulerKind selects a pool's queueing discipline.
-type SchedulerKind string
-
-// Supported schedulers.
-const (
-	SchedFIFO SchedulerKind = "fifo"
-	SchedPrio SchedulerKind = "prio"
-)
-
 // ErrShutdown is returned by Push after the runtime began shutting down.
 var ErrShutdown = errors.New("argo: runtime is shut down")
 
-// Pool is a named queue of pending tasks, drained by the execution streams
-// attached to it.
+// Pool is a named, unbounded FIFO queue of tasks drained by its own
+// execution streams.
 type Pool struct {
-	name string
-	kind SchedulerKind
+	name     string
+	xstreams int
 
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queues [3][]Task // index by Priority; FIFO pools use PriorityNormal only
+	cond   sync.Cond
+	ring   []Task // circular buffer, len a power of two (or zero)
+	head   int
+	n      int
 	closed bool
 
-	pushed  atomic.Int64
-	popped  atomic.Int64
-	stolen  atomic.Int64
-	waiters int
-
-	// onPush, when set by the runtime, wakes work-stealing streams.
-	onPush func()
-}
-
-func newPool(name string, kind SchedulerKind) *Pool {
-	p := &Pool{name: name, kind: kind}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+	started atomic.Int64
+	wg      sync.WaitGroup
 }
 
 // Name returns the pool's configured name.
 func (p *Pool) Name() string { return p.name }
 
-// Kind returns the pool's scheduler kind.
-func (p *Pool) Kind() SchedulerKind { return p.kind }
+// XStreams returns how many execution streams drain the pool.
+func (p *Pool) XStreams() int { return p.xstreams }
 
-// Push enqueues a task at normal priority.
-func (p *Pool) Push(t Task) error { return p.PushPriority(t, PriorityNormal) }
+// Started returns how many tasks the pool's streams have taken up. A task
+// counts before it runs, so a caller woken by the task already sees it.
+func (p *Pool) Started() int64 { return p.started.Load() }
 
-// PushPriority enqueues a task at the given priority. FIFO pools ignore the
-// priority. Push never blocks; pools are unbounded like Argobots pools.
-func (p *Pool) PushPriority(t Task, prio Priority) error {
+// Push enqueues a task. It never blocks and never drops a task; pools are
+// unbounded like Argobots pools. Once the queue has grown to the pool's
+// working depth, Push allocates nothing.
+func (p *Pool) Push(t Task) error {
 	if t == nil {
 		return fmt.Errorf("argo: nil task pushed to pool %q", p.name)
-	}
-	if prio < PriorityHigh || prio > PriorityLow {
-		return fmt.Errorf("argo: invalid priority %d", prio)
-	}
-	if p.kind == SchedFIFO {
-		prio = PriorityNormal
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrShutdown
 	}
-	p.queues[prio] = append(p.queues[prio], t)
-	p.pushed.Add(1)
-	onPush := p.onPush
+	if p.n == len(p.ring) {
+		p.grow()
+	}
+	p.ring[(p.head+p.n)&(len(p.ring)-1)] = t
+	p.n++
 	p.mu.Unlock()
 	p.cond.Signal()
-	if onPush != nil {
-		onPush()
-	}
 	return nil
 }
 
-// pop removes the next task honoring priority order; it returns nil, false
-// when the pool is closed and drained. It blocks while the pool is empty.
-func (p *Pool) pop() (Task, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// grow doubles the ring, unwrapping the queued tasks to its front.
+func (p *Pool) grow() {
+	ring := make([]Task, max(16, 2*len(p.ring)))
+	for i := 0; i < p.n; i++ {
+		ring[i] = p.ring[(p.head+i)&(len(p.ring)-1)]
+	}
+	p.ring, p.head = ring, 0
+}
+
+// stream is one execution stream: it runs queued tasks in FIFO order and
+// exits once the pool is closed and empty.
+func (p *Pool) stream() {
+	defer p.wg.Done()
 	for {
-		for prio := range p.queues {
-			if q := p.queues[prio]; len(q) > 0 {
-				t := q[0]
-				p.queues[prio] = q[1:]
-				p.popped.Add(1)
-				return t, true
-			}
+		p.mu.Lock()
+		for p.n == 0 && !p.closed {
+			p.cond.Wait()
 		}
-		if p.closed {
-			return nil, false
+		if p.n == 0 {
+			p.mu.Unlock()
+			return
 		}
-		p.waiters++
-		p.cond.Wait()
-		p.waiters--
+		t := p.ring[p.head]
+		p.ring[p.head] = nil
+		p.head = (p.head + 1) & (len(p.ring) - 1)
+		p.n--
+		p.mu.Unlock()
+		p.started.Add(1)
+		t()
 	}
 }
 
-// tryPop is pop without blocking; ok is false when the pool is empty.
-func (p *Pool) tryPop() (Task, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for prio := range p.queues {
-		if q := p.queues[prio]; len(q) > 0 {
-			t := q[0]
-			p.queues[prio] = q[1:]
-			p.popped.Add(1)
-			return t, true
-		}
-	}
-	return nil, false
-}
-
-func (p *Pool) close() {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-// Len returns the number of queued (not yet running) tasks.
-func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, q := range p.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// Stats describes pool activity.
-type Stats struct {
-	Pushed int64
-	Popped int64
-	// Stolen counts pops performed by streams not configured to drain
-	// this pool (work stealing).
-	Stolen int64
-}
-
-// Stats returns cumulative counters for the pool.
-func (p *Pool) Stats() Stats {
-	return Stats{Pushed: p.pushed.Load(), Popped: p.popped.Load(), Stolen: p.stolen.Load()}
-}
-
-// XStream is an execution stream: a worker that drains an ordered list of
-// pools, running one task at a time to completion.
-type XStream struct {
-	name  string
-	pools []*Pool
-	rt    *Runtime // for work stealing (nil when disabled)
-	done  chan struct{}
-	ran   atomic.Int64
-	stole atomic.Int64
-}
-
-// TasksStolen returns how many tasks this stream took from pools it is not
-// configured to drain.
-func (x *XStream) TasksStolen() int64 { return x.stole.Load() }
-
-// Name returns the stream's configured name.
-func (x *XStream) Name() string { return x.name }
-
-// TasksRun returns the number of tasks this stream has completed.
-func (x *XStream) TasksRun() int64 { return x.ran.Load() }
-
-func (x *XStream) run() {
-	defer close(x.done)
-	for {
-		// Prefer earlier pools (the Argobots "main pool first" rule),
-		// then steal if enabled, falling back to a blocking wait.
-		var task Task
-		var ok bool
-		for _, p := range x.pools {
-			if task, ok = p.tryPop(); ok {
-				break
-			}
-		}
-		if !ok && x.rt != nil {
-			task, ok = x.steal()
-		}
-		if !ok {
-			if x.rt != nil {
-				// Work stealing: wait for a push anywhere, then retry.
-				if !x.rt.waitAnyPush() {
-					x.drainAndExit()
-					return
-				}
-				continue
-			}
-			task, ok = x.pools[0].pop()
-			if !ok {
-				x.drainAndExit()
-				return
-			}
-		}
-		task()
-		x.ran.Add(1)
-	}
-}
-
-// steal scans every runtime pool for work.
-func (x *XStream) steal() (Task, bool) {
-	mine := make(map[*Pool]bool, len(x.pools))
-	for _, p := range x.pools {
-		mine[p] = true
-	}
-	for _, p := range x.rt.poolList {
-		if mine[p] {
-			continue
-		}
-		if t, ok := p.tryPop(); ok {
-			p.stolen.Add(1)
-			x.stole.Add(1)
-			return t, true
-		}
-	}
-	return nil, false
-}
-
-// drainAndExit empties the stream's own pools — and, under work stealing,
-// every runtime pool, so tasks in pools no stream is configured to drain
-// cannot be stranded at shutdown — before exit.
-func (x *XStream) drainAndExit() {
-	pools := x.pools
-	if x.rt != nil {
-		pools = x.rt.poolList
-	}
-	for _, p := range pools {
-		for t, more := p.tryPop(); more; t, more = p.tryPop() {
-			t()
-			x.ran.Add(1)
-		}
-	}
-}
-
-// PoolConfig declares one pool in a runtime configuration.
+// PoolConfig declares one pool and how many execution streams drain it
+// (fewer than one runs one).
 type PoolConfig struct {
-	Name string        `json:"name"`
-	Kind SchedulerKind `json:"kind"`
-}
-
-// XStreamConfig declares one execution stream and the pools it drains, in
-// scheduling order. The first pool is the stream's primary pool.
-type XStreamConfig struct {
-	Name  string   `json:"name"`
-	Pools []string `json:"scheduler_pools"`
+	Name     string `json:"name"`
+	XStreams int    `json:"xstreams"`
 }
 
 // Config mirrors the "argobots" section of a Bedrock JSON document.
 type Config struct {
-	Pools    []PoolConfig    `json:"pools"`
-	XStreams []XStreamConfig `json:"xstreams"`
-	// WorkStealing lets an idle execution stream take tasks from any
-	// pool, not only the ones it is configured to drain — the Argobots
-	// "randws" scheduler. It trades locality for utilization.
-	WorkStealing bool `json:"work_stealing"`
+	Pools []PoolConfig `json:"pools"`
 }
 
 // DefaultConfig returns a runtime shaped like the paper's server processes:
-// one primary pool and n rpc-xstreams draining it.
+// one primary pool drained by n rpc-xstreams.
 func DefaultConfig(n int) Config {
-	if n < 1 {
-		n = 1
-	}
-	cfg := Config{Pools: []PoolConfig{{Name: "__primary__", Kind: SchedFIFO}}}
-	for i := 0; i < n; i++ {
-		cfg.XStreams = append(cfg.XStreams, XStreamConfig{
-			Name:  fmt.Sprintf("rpc_xstream_%d", i),
-			Pools: []string{"__primary__"},
-		})
-	}
-	return cfg
+	return Config{Pools: []PoolConfig{{Name: "__primary__", XStreams: max(n, 1)}}}
 }
 
-// Runtime owns a set of pools and execution streams.
+// Runtime owns a set of pools and their execution streams.
 type Runtime struct {
-	pools    map[string]*Pool
-	poolList []*Pool
-	streams  []*XStream
-
-	// Work-stealing coordination: a generation-counted broadcast that
-	// wakes idle stealers on any push or on shutdown.
-	stealMu   sync.Mutex
-	stealCond *sync.Cond
-	stealGen  uint64
-	closing   bool
-
-	shutdown  sync.Once
-	wgStreams sync.WaitGroup
+	pools    []*Pool
+	shutdown sync.Once
 }
 
-// notifyPush wakes idle work-stealing streams.
-func (r *Runtime) notifyPush() {
-	r.stealMu.Lock()
-	r.stealGen++
-	r.stealMu.Unlock()
-	r.stealCond.Broadcast()
-}
-
-// waitAnyPush blocks until any pool receives a task or the runtime closes;
-// it reports false on close.
-func (r *Runtime) waitAnyPush() bool {
-	r.stealMu.Lock()
-	defer r.stealMu.Unlock()
-	gen := r.stealGen
-	for gen == r.stealGen && !r.closing {
-		r.stealCond.Wait()
-	}
-	return !r.closing
-}
-
-// NewRuntime validates the configuration and starts all execution streams.
+// NewRuntime validates the configuration and starts every pool's streams.
 func NewRuntime(cfg Config) (*Runtime, error) {
 	if len(cfg.Pools) == 0 {
 		return nil, errors.New("argo: configuration has no pools")
 	}
-	if len(cfg.XStreams) == 0 {
-		return nil, errors.New("argo: configuration has no xstreams")
-	}
-	r := &Runtime{pools: make(map[string]*Pool, len(cfg.Pools))}
-	r.stealCond = sync.NewCond(&r.stealMu)
+	r := &Runtime{}
 	for _, pc := range cfg.Pools {
 		if pc.Name == "" {
 			return nil, errors.New("argo: pool with empty name")
 		}
-		if _, dup := r.pools[pc.Name]; dup {
+		if r.Pool(pc.Name) != nil {
 			return nil, fmt.Errorf("argo: duplicate pool %q", pc.Name)
 		}
-		kind := pc.Kind
-		if kind == "" {
-			kind = SchedFIFO
-		}
-		if kind != SchedFIFO && kind != SchedPrio {
-			return nil, fmt.Errorf("argo: pool %q has unknown scheduler %q", pc.Name, kind)
-		}
-		p := newPool(pc.Name, kind)
-		if cfg.WorkStealing {
-			p.onPush = r.notifyPush
-		}
-		r.pools[pc.Name] = p
-		r.poolList = append(r.poolList, p)
+		p := &Pool{name: pc.Name, xstreams: max(pc.XStreams, 1)}
+		p.cond.L = &p.mu
+		r.pools = append(r.pools, p)
 	}
-	for _, xc := range cfg.XStreams {
-		if len(xc.Pools) == 0 {
-			return nil, fmt.Errorf("argo: xstream %q drains no pools", xc.Name)
+	for _, p := range r.pools {
+		p.wg.Add(p.xstreams)
+		for i := 0; i < p.xstreams; i++ {
+			go p.stream()
 		}
-		x := &XStream{name: xc.Name, done: make(chan struct{})}
-		if cfg.WorkStealing {
-			x.rt = r
-		}
-		for _, pn := range xc.Pools {
-			p, ok := r.pools[pn]
-			if !ok {
-				return nil, fmt.Errorf("argo: xstream %q references unknown pool %q", xc.Name, pn)
-			}
-			x.pools = append(x.pools, p)
-		}
-		r.streams = append(r.streams, x)
-	}
-	// Every pool must be drained by someone, or pushed tasks would hang
-	// (with work stealing, any stream can drain any pool).
-	drained := make(map[*Pool]bool)
-	if cfg.WorkStealing {
-		for _, p := range r.poolList {
-			drained[p] = true
-		}
-	}
-	for _, x := range r.streams {
-		for _, p := range x.pools {
-			drained[p] = true
-		}
-	}
-	for _, p := range r.poolList {
-		if !drained[p] {
-			return nil, fmt.Errorf("argo: pool %q is not drained by any xstream", p.Name())
-		}
-	}
-	for _, x := range r.streams {
-		r.wgStreams.Add(1)
-		go func(x *XStream) {
-			defer r.wgStreams.Done()
-			x.run()
-		}(x)
 	}
 	return r, nil
 }
 
 // Pool returns the named pool, or nil if it does not exist.
-func (r *Runtime) Pool(name string) *Pool { return r.pools[name] }
+func (r *Runtime) Pool(name string) *Pool {
+	for _, p := range r.pools {
+		if p.name == name {
+			return p
+		}
+	}
+	return nil
+}
 
 // Pools returns all pools in configuration order.
-func (r *Runtime) Pools() []*Pool { return append([]*Pool(nil), r.poolList...) }
+func (r *Runtime) Pools() []*Pool { return append([]*Pool(nil), r.pools...) }
 
-// XStreams returns all execution streams in configuration order.
-func (r *Runtime) XStreams() []*XStream { return append([]*XStream(nil), r.streams...) }
-
-// Shutdown closes all pools and waits for streams to drain and exit. It is
-// idempotent and safe to call from multiple goroutines.
+// Shutdown refuses further pushes, runs every task already queued, and
+// waits for all streams to exit. It is idempotent and safe to call from
+// multiple goroutines.
 func (r *Runtime) Shutdown() {
 	r.shutdown.Do(func() {
-		for _, p := range r.poolList {
-			p.close()
+		for _, p := range r.pools {
+			p.mu.Lock()
+			p.closed = true
+			p.mu.Unlock()
+			p.cond.Broadcast()
 		}
-		r.stealMu.Lock()
-		r.closing = true
-		r.stealMu.Unlock()
-		r.stealCond.Broadcast()
-		r.wgStreams.Wait()
+		for _, p := range r.pools {
+			p.wg.Wait()
+		}
 	})
 }
-
-// Eventual is a one-shot future, the analog of ABT_eventual. The zero value
-// is not ready; create with NewEventual.
-type Eventual[T any] struct {
-	ch   chan struct{}
-	once sync.Once
-	val  T
-	err  error
-}
-
-// NewEventual returns an unset eventual.
-func NewEventual[T any]() *Eventual[T] {
-	return &Eventual[T]{ch: make(chan struct{})}
-}
-
-// Set resolves the eventual. Later Sets are ignored.
-func (e *Eventual[T]) Set(v T, err error) {
-	e.once.Do(func() {
-		e.val, e.err = v, err
-		close(e.ch)
-	})
-}
-
-// Wait blocks until the eventual resolves and returns its value.
-func (e *Eventual[T]) Wait() (T, error) {
-	<-e.ch
-	return e.val, e.err
-}
-
-// Ready reports whether the eventual has resolved without blocking.
-func (e *Eventual[T]) Ready() bool {
-	select {
-	case <-e.ch:
-		return true
-	default:
-		return false
-	}
-}
-
-// Barrier blocks until n tasks call Arrive, the analog of ABT_barrier.
-type Barrier struct {
-	wg sync.WaitGroup
-}
-
-// NewBarrier creates a barrier for n participants.
-func NewBarrier(n int) *Barrier {
-	b := &Barrier{}
-	b.wg.Add(n)
-	return b
-}
-
-// Arrive marks one participant done.
-func (b *Barrier) Arrive() { b.wg.Done() }
-
-// Wait blocks until all participants arrived.
-func (b *Barrier) Wait() { b.wg.Wait() }

@@ -12,11 +12,9 @@ func TestDefaultConfigRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Shutdown()
-
+	pool := r.Pool("__primary__")
 	var count atomic.Int64
 	var wg sync.WaitGroup
-	pool := r.Pool("__primary__")
 	const n = 1000
 	wg.Add(n)
 	for i := 0; i < n; i++ {
@@ -28,15 +26,14 @@ func TestDefaultConfigRuns(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if count.Load() != n {
-		t.Fatalf("ran %d tasks, want %d", count.Load(), n)
-	}
-	st := pool.Stats()
-	if st.Pushed != n || st.Popped != n {
-		t.Fatalf("stats %+v", st)
+	r.Shutdown()
+	if count.Load() != n || pool.Started() != n {
+		t.Fatalf("ran %d tasks (pool counted %d), want %d", count.Load(), pool.Started(), n)
 	}
 }
 
+// With its streams all blocked, a pool runs exactly as many tasks at once
+// as it has streams.
 func TestAllStreamsParticipate(t *testing.T) {
 	r, err := NewRuntime(DefaultConfig(4))
 	if err != nil {
@@ -45,94 +42,72 @@ func TestAllStreamsParticipate(t *testing.T) {
 	defer r.Shutdown()
 	pool := r.Pool("__primary__")
 
-	// Tasks that block briefly force distribution across streams.
+	started := make(chan struct{}, 64)
+	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	const n = 64
 	wg.Add(n)
-	gate := make(chan struct{})
 	for i := 0; i < n; i++ {
 		pool.Push(func() {
+			started <- struct{}{}
 			<-gate
 			wg.Done()
 		})
 	}
-	// With 4 streams and a closed gate, exactly 4 tasks are in flight;
-	// release them all.
-	time.Sleep(10 * time.Millisecond)
+	for i := 0; i < 4; i++ {
+		<-started
+	}
+	select {
+	case <-started:
+		t.Fatal("a fifth task started while four streams were blocked")
+	case <-time.After(20 * time.Millisecond):
+	}
 	close(gate)
 	wg.Wait()
-
-	busy := 0
-	for _, x := range r.XStreams() {
-		if x.TasksRun() > 0 {
-			busy++
-		}
-	}
-	if busy != 4 {
-		t.Fatalf("%d/4 streams ran tasks", busy)
-	}
 }
 
-func TestPriorityPool(t *testing.T) {
-	cfg := Config{
-		Pools:    []PoolConfig{{Name: "p", Kind: SchedPrio}},
-		XStreams: []XStreamConfig{{Name: "x", Pools: []string{"p"}}},
-	}
-	r, err := NewRuntime(cfg)
+// One stream runs its pool's tasks in push order.
+func TestFIFOOrder(t *testing.T) {
+	r, err := NewRuntime(Config{Pools: []PoolConfig{{Name: "p", XStreams: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Shutdown()
 	pool := r.Pool("p")
-
-	var mu sync.Mutex
-	var order []Priority
-	var wg sync.WaitGroup
-
-	// Occupy the single stream so queued tasks accumulate, then check that
-	// high-priority tasks pushed later run before low-priority pushed first.
-	gate := make(chan struct{})
-	pool.Push(func() { <-gate })
-	record := func(p Priority) Task {
-		return func() {
-			mu.Lock()
-			order = append(order, p)
-			mu.Unlock()
-			wg.Done()
+	var order []int
+	const n = 100 // enough to wrap and grow the ring
+	for i := 0; i < n; i++ {
+		pool.Push(func() { order = append(order, i) })
+	}
+	r.Shutdown()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("order[%d] = %d", i, v)
 		}
 	}
-	wg.Add(3)
-	pool.PushPriority(record(PriorityLow), PriorityLow)
-	pool.PushPriority(record(PriorityNormal), PriorityNormal)
-	pool.PushPriority(record(PriorityHigh), PriorityHigh)
-	close(gate)
-	wg.Wait()
-
-	want := []Priority{PriorityHigh, PriorityNormal, PriorityLow}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if len(order) != n {
+		t.Fatalf("ran %d of %d", len(order), n)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{},
-		{Pools: []PoolConfig{{Name: "p"}}},
-		{Pools: []PoolConfig{{Name: ""}}, XStreams: []XStreamConfig{{Name: "x", Pools: []string{""}}}},
-		{Pools: []PoolConfig{{Name: "p"}, {Name: "p"}}, XStreams: []XStreamConfig{{Name: "x", Pools: []string{"p"}}}},
-		{Pools: []PoolConfig{{Name: "p", Kind: "weird"}}, XStreams: []XStreamConfig{{Name: "x", Pools: []string{"p"}}}},
-		{Pools: []PoolConfig{{Name: "p"}}, XStreams: []XStreamConfig{{Name: "x", Pools: []string{"missing"}}}},
-		{Pools: []PoolConfig{{Name: "p"}}, XStreams: []XStreamConfig{{Name: "x"}}},
-		// pool q exists but nothing drains it
-		{Pools: []PoolConfig{{Name: "p"}, {Name: "q"}}, XStreams: []XStreamConfig{{Name: "x", Pools: []string{"p"}}}},
+		{Pools: []PoolConfig{{Name: ""}}},
+		{Pools: []PoolConfig{{Name: "p"}, {Name: "p"}}},
 	}
 	for i, cfg := range bad {
 		if r, err := NewRuntime(cfg); err == nil {
 			r.Shutdown()
 			t.Errorf("config %d should have been rejected", i)
 		}
+	}
+	r, err := NewRuntime(Config{Pools: []PoolConfig{{Name: "p"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown()
+	if got := r.Pool("p").XStreams(); got != 1 {
+		t.Fatalf("pool without xstreams runs %d streams, want 1", got)
 	}
 }
 
@@ -167,209 +142,8 @@ func TestShutdownDrainsQueuedTasks(t *testing.T) {
 	}
 }
 
-func TestMultiPoolXStream(t *testing.T) {
-	cfg := Config{
-		Pools: []PoolConfig{{Name: "fast"}, {Name: "slow"}},
-		XStreams: []XStreamConfig{
-			{Name: "x", Pools: []string{"fast", "slow"}},
-		},
-	}
-	r, err := NewRuntime(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ran atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(2)
-	r.Pool("slow").Push(func() { ran.Add(1); wg.Done() })
-	r.Pool("fast").Push(func() { ran.Add(1); wg.Done() })
-	wg.Wait()
-	r.Shutdown()
-	if ran.Load() != 2 {
-		t.Fatalf("ran %d", ran.Load())
-	}
-}
-
-func TestPoolErrors(t *testing.T) {
-	r, _ := NewRuntime(DefaultConfig(1))
-	defer r.Shutdown()
-	p := r.Pool("__primary__")
-	if err := p.Push(nil); err == nil {
-		t.Error("nil task should error")
-	}
-	if err := p.PushPriority(func() {}, Priority(9)); err == nil {
-		t.Error("invalid priority should error")
-	}
-	if r.Pool("ghost") != nil {
-		t.Error("unknown pool should be nil")
-	}
-}
-
-func TestEventual(t *testing.T) {
-	e := NewEventual[int]()
-	if e.Ready() {
-		t.Fatal("fresh eventual should not be ready")
-	}
-	go e.Set(42, nil)
-	v, err := e.Wait()
-	if v != 42 || err != nil {
-		t.Fatalf("Wait = %d, %v", v, err)
-	}
-	if !e.Ready() {
-		t.Fatal("resolved eventual should be ready")
-	}
-	e.Set(99, nil) // ignored
-	v, _ = e.Wait()
-	if v != 42 {
-		t.Fatalf("second Set changed value to %d", v)
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	b := NewBarrier(3)
-	var done atomic.Int32
-	for i := 0; i < 3; i++ {
-		go func() {
-			done.Add(1)
-			b.Arrive()
-		}()
-	}
-	b.Wait()
-	if done.Load() != 3 {
-		t.Fatalf("barrier released early: %d arrivals", done.Load())
-	}
-}
-
-func TestRuntimeAccessors(t *testing.T) {
-	r, err := NewRuntime(DefaultConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Shutdown()
-	if len(r.Pools()) != 1 {
-		t.Fatalf("pools = %d", len(r.Pools()))
-	}
-	if len(r.XStreams()) != 3 {
-		t.Fatalf("xstreams = %d", len(r.XStreams()))
-	}
-	if r.Pools()[0].Kind() != SchedFIFO {
-		t.Fatalf("kind = %v", r.Pools()[0].Kind())
-	}
-	if r.XStreams()[0].Name() != "rpc_xstream_0" {
-		t.Fatalf("name = %q", r.XStreams()[0].Name())
-	}
-}
-
-func BenchmarkPoolThroughput(b *testing.B) {
-	r, err := NewRuntime(DefaultConfig(4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Shutdown()
-	pool := r.Pool("__primary__")
-	var wg sync.WaitGroup
-	b.ReportAllocs()
-	b.ResetTimer()
-	wg.Add(b.N)
-	for i := 0; i < b.N; i++ {
-		pool.Push(func() { wg.Done() })
-	}
-	wg.Wait()
-}
-
-func TestWorkStealingBalancesLoad(t *testing.T) {
-	cfg := Config{
-		Pools: []PoolConfig{{Name: "busy"}, {Name: "idlepool"}},
-		XStreams: []XStreamConfig{
-			{Name: "owner", Pools: []string{"busy"}},
-			{Name: "thief", Pools: []string{"idlepool"}},
-		},
-		WorkStealing: true,
-	}
-	r, err := NewRuntime(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Push slow tasks only to the busy pool; the thief must help.
-	var wg sync.WaitGroup
-	const n = 60
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		r.Pool("busy").Push(func() {
-			time.Sleep(2 * time.Millisecond)
-			wg.Done()
-		})
-	}
-	wg.Wait()
-	r.Shutdown()
-	var owner, thief *XStream
-	for _, x := range r.XStreams() {
-		switch x.Name() {
-		case "owner":
-			owner = x
-		case "thief":
-			thief = x
-		}
-	}
-	if thief.TasksStolen() == 0 {
-		t.Fatalf("thief stole nothing: owner ran %d, thief ran %d",
-			owner.TasksRun(), thief.TasksRun())
-	}
-	if owner.TasksRun()+thief.TasksRun() != n {
-		t.Fatalf("tasks lost: %d + %d != %d", owner.TasksRun(), thief.TasksRun(), n)
-	}
-	if got := r.Pool("busy").Stats().Stolen; got != thief.TasksStolen() {
-		t.Fatalf("pool stolen counter %d != thief counter %d", got, thief.TasksStolen())
-	}
-}
-
-func TestWorkStealingAllowsUndrainedPools(t *testing.T) {
-	// Without stealing this config is invalid (orphan pool); with stealing
-	// any stream may drain it.
-	cfg := Config{
-		Pools: []PoolConfig{{Name: "p"}, {Name: "orphan"}},
-		XStreams: []XStreamConfig{
-			{Name: "x", Pools: []string{"p"}},
-		},
-		WorkStealing: true,
-	}
-	r, err := NewRuntime(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(10)
-	for i := 0; i < 10; i++ {
-		if err := r.Pool("orphan").Push(func() {
-			done.Add(1)
-			wg.Done()
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	r.Shutdown()
-	if done.Load() != 10 {
-		t.Fatalf("orphan pool tasks ran %d times", done.Load())
-	}
-	// The same config without stealing is rejected.
-	cfg.WorkStealing = false
-	if rt, err := NewRuntime(cfg); err == nil {
-		rt.Shutdown()
-		t.Fatal("orphan pool without stealing should be rejected")
-	}
-}
-
-func TestWorkStealingShutdownDrainsEverything(t *testing.T) {
-	cfg := Config{
-		Pools: []PoolConfig{{Name: "a"}, {Name: "b"}},
-		XStreams: []XStreamConfig{
-			{Name: "x", Pools: []string{"a"}},
-		},
-		WorkStealing: true,
-	}
-	r, err := NewRuntime(cfg)
+func TestShutdownDrainsEveryPool(t *testing.T) {
+	r, err := NewRuntime(Config{Pools: []PoolConfig{{Name: "a"}, {Name: "b", XStreams: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,4 +156,97 @@ func TestWorkStealingShutdownDrainsEverything(t *testing.T) {
 	if count.Load() != 400 {
 		t.Fatalf("shutdown stranded tasks: ran %d of 400", count.Load())
 	}
+}
+
+// Each pool has streams of its own: blocking every stream of one pool does
+// not stall another.
+func TestMultiPoolXStream(t *testing.T) {
+	r, err := NewRuntime(Config{Pools: []PoolConfig{{Name: "slow", XStreams: 2}, {Name: "fast"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		r.Pool("slow").Push(func() { <-gate })
+	}
+	done := make(chan struct{})
+	r.Pool("fast").Push(func() { close(done) })
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("fast pool stalled behind the slow pool's blocked streams")
+	}
+	close(gate)
+	r.Shutdown()
+	if r.Pool("slow").Started() != 2 || r.Pool("fast").Started() != 1 {
+		t.Fatalf("slow ran %d, fast ran %d", r.Pool("slow").Started(), r.Pool("fast").Started())
+	}
+}
+
+func TestPoolErrors(t *testing.T) {
+	r, _ := NewRuntime(DefaultConfig(1))
+	defer r.Shutdown()
+	if err := r.Pool("__primary__").Push(nil); err == nil {
+		t.Error("nil task should error")
+	}
+	if r.Pool("ghost") != nil {
+		t.Error("unknown pool should be nil")
+	}
+}
+
+func TestRuntimeAccessors(t *testing.T) {
+	r, err := NewRuntime(DefaultConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown()
+	pools := r.Pools()
+	if len(pools) != 1 {
+		t.Fatalf("pools = %d", len(pools))
+	}
+	if pools[0].Name() != "__primary__" || pools[0].XStreams() != 3 {
+		t.Fatalf("pool %q with %d xstreams", pools[0].Name(), pools[0].XStreams())
+	}
+}
+
+// TestAllocBudgetArgoPush locks the hand-off's allocation cost: once the
+// pool has run at its working depth, pushing a pre-built task and letting
+// a stream run it allocates nothing.
+func TestAllocBudgetArgoPush(t *testing.T) {
+	r, err := NewRuntime(DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown()
+	pool := r.Pool("__primary__")
+	done := make(chan struct{}, 1)
+	task := Task(func() { done <- struct{}{} })
+	n := testing.AllocsPerRun(1000, func() {
+		if err := pool.Push(task); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	})
+	t.Logf("Push+run: %.2f allocs/op (budget 0)", n)
+	if n != 0 {
+		t.Errorf("Push+run allocs/op = %.2f, budget 0", n)
+	}
+}
+
+func BenchmarkPoolThroughput(b *testing.B) {
+	r, err := NewRuntime(DefaultConfig(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Shutdown()
+	pool := r.Pool("__primary__")
+	var wg sync.WaitGroup
+	task := Task(wg.Done)
+	b.ReportAllocs()
+	b.ResetTimer()
+	wg.Add(b.N)
+	for i := 0; i < b.N; i++ {
+		pool.Push(task)
+	}
+	wg.Wait()
 }

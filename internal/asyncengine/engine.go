@@ -6,11 +6,12 @@
 // prefetcher I/O, parallel event-processing threads — runs on the same
 // Argobots pools owned by the thallium engine, so one configuration knob
 // sizes all of it and nothing spawns unaccounted threads. This package
-// reproduces that structure on top of internal/argo: named pools drained by
-// fixed sets of execution streams, eventuals for completion and error
-// delivery, bounded submission with backpressure (a slot semaphore in front
-// of each unbounded argo pool), and context-aware cancellation (the task's
-// context is the caller's context capped by the engine's lifetime).
+// reproduces that structure on top of internal/argo: each PoolSpec is one
+// argo FIFO pool drained by its own execution streams, with a slot
+// semaphore in front of it bounding the operations in flight
+// (backpressure). Each accepted task resolves an Eventual carrying its
+// value or error, and runs under the caller's context capped by the
+// engine's lifetime.
 //
 // Pool discipline, to keep the submission graph acyclic and deadlock-free:
 // leaf RPC fan-out runs on PoolRPC; page-lookahead tasks run on PoolPrefetch
@@ -46,10 +47,12 @@ const (
 // ErrEngineClosed is returned by submissions after Shutdown began.
 var ErrEngineClosed = errors.New("asyncengine: engine is shut down")
 
-// PoolSpec sizes one engine pool: how many execution streams drain it and
-// how many operations may be in flight (queued or running) before Submit
-// blocks the submitter — the §II-D backpressure that keeps a fast producer
-// from buffering unbounded work in client memory.
+// PoolSpec sizes one engine pool with two bounds: XStreams, how many
+// execution streams drain it and so how many of its tasks run at once
+// (fewer than one runs one), and MaxQueue, how many operations may be in
+// flight (queued or running) before Submit blocks the submitter — the
+// §II-D backpressure that keeps a fast producer from buffering unbounded
+// work in client memory (0: four per stream).
 type PoolSpec struct {
 	Name     string `json:"name"`
 	XStreams int    `json:"xstreams,omitempty"`
@@ -172,27 +175,9 @@ func New(cfg Config) (*Engine, error) {
 	if len(cfg.Pools) == 0 {
 		cfg.Pools = DefaultConfig().Pools
 	}
-	var acfg argo.Config
-	seen := make(map[string]bool, len(cfg.Pools))
-	for _, ps := range cfg.Pools {
-		if ps.Name == "" {
-			return nil, errors.New("asyncengine: pool with empty name")
-		}
-		if seen[ps.Name] {
-			return nil, fmt.Errorf("asyncengine: duplicate pool %q", ps.Name)
-		}
-		seen[ps.Name] = true
-		acfg.Pools = append(acfg.Pools, argo.PoolConfig{Name: ps.Name, Kind: argo.SchedFIFO})
-		n := ps.XStreams
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			acfg.XStreams = append(acfg.XStreams, argo.XStreamConfig{
-				Name:  fmt.Sprintf("%s_es_%d", ps.Name, i),
-				Pools: []string{ps.Name},
-			})
-		}
+	acfg := argo.Config{Pools: make([]argo.PoolConfig, len(cfg.Pools))}
+	for i, ps := range cfg.Pools {
+		acfg.Pools[i] = argo.PoolConfig{Name: ps.Name, XStreams: ps.XStreams}
 	}
 	rt, err := argo.NewRuntime(acfg)
 	if err != nil {
@@ -200,21 +185,13 @@ func New(cfg Config) (*Engine, error) {
 	}
 	base, cancel := context.WithCancel(context.Background())
 	e := &Engine{rt: rt, pools: make(map[string]*pool, len(cfg.Pools)), base: base, cancel: cancel}
-	for _, ps := range cfg.Pools {
-		n := ps.XStreams
-		if n < 1 {
-			n = 1
-		}
-		q := ps.MaxQueue
+	for i, ap := range rt.Pools() {
+		q := cfg.Pools[i].MaxQueue
 		if q < 1 {
-			q = 4 * n
+			q = 4 * ap.XStreams()
 		}
-		e.pools[ps.Name] = &pool{
-			ap:       rt.Pool(ps.Name),
-			slots:    make(chan struct{}, q),
-			counters: &stats.OpCounters{},
-		}
-		e.names = append(e.names, ps.Name)
+		e.pools[ap.Name()] = &pool{ap: ap, slots: make(chan struct{}, q), counters: &stats.OpCounters{}}
+		e.names = append(e.names, ap.Name())
 	}
 	return e, nil
 }

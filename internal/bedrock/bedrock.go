@@ -77,10 +77,11 @@ func (sc *StorageConfig) options() yokan.LSMOptions {
 type MargoConfig struct {
 	// Address to listen on, e.g. "inproc://server0" or "tcp://0.0.0.0:0".
 	Address string `json:"address"`
-	// RPCXStreams sets the size of the default round-robin xstream set
+	// RPCXStreams sets how many execution streams drain the default pool
 	// when Argobots is not given explicitly. The paper uses 16.
 	RPCXStreams int `json:"rpc_xstreams"`
-	// Argobots optionally spells out pools and xstreams in full.
+	// Argobots optionally names the pools, each with its own number of
+	// execution streams: {"pools": [{"name": ..., "xstreams": ...}]}.
 	Argobots argo.Config `json:"argobots"`
 	// NetSim optionally attaches a network cost model (testing only; not
 	// part of the original Bedrock schema).
@@ -346,15 +347,7 @@ func Boot(cfg ProcessConfig) (*Server, error) {
 	// in RPC queues anyway).
 	var env *yokan.StorageEnv
 	if processHasLSM(cfg) {
-		var acfg argo.Config
-		acfg.Pools = []argo.PoolConfig{{Name: storagePoolName, Kind: argo.SchedFIFO}}
-		for i := 0; i < storageStreams; i++ {
-			acfg.XStreams = append(acfg.XStreams, argo.XStreamConfig{
-				Name:  fmt.Sprintf("storage-%d", i),
-				Pools: []string{storagePoolName},
-			})
-		}
-		rt, err := argo.NewRuntime(acfg)
+		rt, err := argo.NewRuntime(argo.Config{Pools: []argo.PoolConfig{{Name: storagePoolName, XStreams: storageStreams}}})
 		if err != nil {
 			srv.Shutdown()
 			return nil, fmt.Errorf("bedrock: storage runtime: %w", err)

@@ -163,6 +163,45 @@ func TestBootJSONRefusesUnknownSettings(t *testing.T) {
 	}
 }
 
+// The argobots block names pools and their stream counts, nothing else:
+// the schedulers, per-xstream pool lists and work stealing it once took
+// are gone, and a document that still asks for them does not boot.
+func TestBootJSONArgobotsPools(t *testing.T) {
+	doc := func(argobots string) string {
+		return fmt.Sprintf(`{
+		  "margo": {"address": "inproc://%s", "argobots": %s},
+		  "providers": [{"type": "yokan", "provider_id": 0, "pool": "rpc",
+		    "config": {"databases": [{"name": "events_0"}]}}]
+		}`, uniq("argobots"), argobots)
+	}
+	srv, err := BootJSON([]byte(doc(`{"pools": [{"name": "rpc", "xstreams": 2}]}`)))
+	if err != nil {
+		t.Fatalf("valid argobots block refused: %v", err)
+	}
+	if got := srv.Margo().Runtime().Pool("rpc").XStreams(); got != 2 {
+		t.Fatalf("pool rpc has %d xstreams, want 2", got)
+	}
+	srv.Shutdown()
+
+	for _, tc := range []struct{ key, argobots string }{
+		{"work_stealing", `{"pools": [{"name": "rpc"}], "work_stealing": true}`},
+		{"xstreams", `{"pools": [{"name": "rpc"}], "xstreams": [{"name": "x", "scheduler_pools": ["rpc"]}]}`},
+		{"kind", `{"pools": [{"name": "rpc", "kind": "prio"}]}`},
+		{"scheduler_pools", `{"pools": [{"name": "rpc", "scheduler_pools": ["rpc"]}]}`},
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			srv, err := BootJSON([]byte(doc(tc.argobots)))
+			if err == nil {
+				srv.Shutdown()
+				t.Fatalf("document setting %q booted", tc.key)
+			}
+			if !strings.Contains(err.Error(), tc.key) {
+				t.Fatalf("error %q does not name %q", err, tc.key)
+			}
+		})
+	}
+}
+
 // A client document naming a setting that no longer exists fails to load
 // instead of being silently ignored: the synchronous-engine switch
 // "async.disabled" is gone, so a config that asks for it is refused.
@@ -374,8 +413,13 @@ func TestPinProvidersMapsPoolsOneToOne(t *testing.T) {
 	defer d.Shutdown()
 	srv := d.Servers[0]
 	rt := srv.Margo().Runtime()
-	if len(rt.Pools()) != 3 || len(rt.XStreams()) != 3 {
-		t.Fatalf("pools=%d xstreams=%d, want 3/3", len(rt.Pools()), len(rt.XStreams()))
+	if len(rt.Pools()) != 3 {
+		t.Fatalf("pools=%d, want 3", len(rt.Pools()))
+	}
+	for _, p := range rt.Pools() {
+		if p.XStreams() != 1 {
+			t.Fatalf("pool %s has %d xstreams, want 1", p.Name(), p.XStreams())
+		}
 	}
 
 	// Drive one database on provider 1; only pool_1 should see the work.
@@ -395,10 +439,10 @@ func TestPinProvidersMapsPoolsOneToOne(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := rt.Pool("pool_1").Stats().Popped; got < 20 {
+	if got := rt.Pool("pool_1").Started(); got < 20 {
 		t.Fatalf("pool_1 ran %d tasks, want >= 20", got)
 	}
-	if got := rt.Pool("pool_0").Stats().Popped; got != 0 {
+	if got := rt.Pool("pool_0").Started(); got != 0 {
 		t.Fatalf("pool_0 ran %d tasks, want 0", got)
 	}
 }

@@ -250,16 +250,10 @@ func BuildConfigs(spec DeploySpec) ([]ProcessConfig, error) {
 		if spec.PinProviders {
 			// One pool + one xstream per provider, exactly the paper's
 			// provider-to-stream pinning.
-			var acfg argo.Config
 			for p := 0; p < spec.ProvidersPerServer; p++ {
-				pool := fmt.Sprintf("pool_%d", p)
-				acfg.Pools = append(acfg.Pools, argo.PoolConfig{Name: pool})
-				acfg.XStreams = append(acfg.XStreams, argo.XStreamConfig{
-					Name:  fmt.Sprintf("xstream_%d", p),
-					Pools: []string{pool},
-				})
+				cfg.Margo.Argobots.Pools = append(cfg.Margo.Argobots.Pools,
+					argo.PoolConfig{Name: fmt.Sprintf("pool_%d", p), XStreams: 1})
 			}
-			cfg.Margo.Argobots = acfg
 		}
 
 		// Gather this server's databases: its share of the event/product

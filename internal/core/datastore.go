@@ -504,9 +504,6 @@ func (ds *DataStore) Engine() *asyncengine.Engine { return ds.engine }
 // ParallelEventProcessor sizes its reader set from this (§II-D).
 func (ds *DataStore) NumEventDatabases() int { return len(ds.v().EventDBs) }
 
-// NumProductDatabases returns how many product databases the service has.
-func (ds *DataStore) NumProductDatabases() int { return len(ds.v().ProductDBs) }
-
 // pathSep separates dataset path components.
 const pathSep = "/"
 

@@ -10,8 +10,9 @@ import (
 
 // budgetInprocCall locks the allocation cost of one in-process RPC
 // round-trip (256B payload, echo handler). Measured 6 at the time of the
-// wire-path refactor (payload isolation copy, handler's echo copy,
-// dispatch goroutine, result channel).
+// wire-path refactor, and still 6 now that inproc, not serve, starts the
+// handler's goroutine: payload isolation copy, handler's echo copy, the
+// Request, the goroutine's closure, and the result channel (two).
 const budgetInprocCall = 10
 
 func TestAllocBudgetFabricCall(t *testing.T) {

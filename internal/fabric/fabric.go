@@ -164,11 +164,6 @@ func (s *statsCollector) snapshot() Stats {
 	}
 }
 
-// Dispatcher decides where handler invocations run. The default runs each
-// handler on its own goroutine; Margo installs a dispatcher that pushes the
-// invocation into an Argobots pool instead.
-type Dispatcher func(run func())
-
 // Endpoint is a communication endpoint: it serves registered RPCs and
 // issues calls to other endpoints.
 type Endpoint struct {
@@ -179,7 +174,6 @@ type Endpoint struct {
 
 	mu         sync.RWMutex
 	handlers   map[string]Handler
-	dispatch   Dispatcher
 	serveFault FaultHook
 	closed     bool
 
@@ -205,11 +199,6 @@ type Option func(*Endpoint)
 // endpoint's sends pay the model's latency/bandwidth/injection costs.
 func WithNetSim(sim *NetSim) Option {
 	return func(e *Endpoint) { e.sim = sim }
-}
-
-// WithDispatcher sets how incoming handler invocations are scheduled.
-func WithDispatcher(d Dispatcher) Option {
-	return func(e *Endpoint) { e.dispatch = d }
 }
 
 // WithResilience attaches a retry/backoff/circuit-breaker policy to the
@@ -259,10 +248,7 @@ func WithTracer(t *obs.Tracer) Option {
 // "inproc" and "tcp". For "tcp", a port of 0 picks a free port; the actual
 // address is available from Addr.
 func Listen(addr Address, opts ...Option) (*Endpoint, error) {
-	e := &Endpoint{
-		handlers: make(map[string]Handler),
-		dispatch: func(run func()) { go run() },
-	}
+	e := &Endpoint{handlers: make(map[string]Handler)}
 	e.bulk.init()
 	for _, o := range opts {
 		o(e)
@@ -304,17 +290,6 @@ func (e *Endpoint) Register(rpc string, h Handler) {
 	}
 	e.mu.Lock()
 	e.handlers[rpc] = h
-	e.mu.Unlock()
-}
-
-// SetDispatcher replaces the handler dispatcher (used by Margo after the
-// endpoint is created).
-func (e *Endpoint) SetDispatcher(d Dispatcher) {
-	if d == nil {
-		panic("fabric: nil dispatcher")
-	}
-	e.mu.Lock()
-	e.dispatch = d
 	e.mu.Unlock()
 }
 
@@ -506,16 +481,18 @@ func (e *Endpoint) Close() error {
 	return e.trans.close()
 }
 
-// serve runs the handler for an incoming request and returns the response
-// payload or an error to be sent back, plus the endpoint's current
-// backpressure level for the reply envelope. It is invoked by transports;
-// sc is the caller's span context from the envelope (zero when the caller
-// did not trace), ti the caller's QoS identity (zero for pre-QoS frames).
+// serve runs the handler for an incoming request on the calling goroutine
+// and returns the response payload or an error to be sent back, plus the
+// endpoint's current backpressure level for the reply envelope. It is
+// invoked by transports, each of which calls it on a goroutine of its own
+// per request; handlers that hand work to a pool (margo providers) block
+// that goroutine until the pool answers. sc is the caller's span context
+// from the envelope (zero when the caller did not trace), ti the caller's
+// QoS identity (zero for pre-QoS frames).
 func (e *Endpoint) serve(ctx context.Context, from Address, rpc string, payload []byte, sc obs.SpanContext, ti qos.Identity) ([]byte, uint8, error) {
 	e.mu.RLock()
 	h, ok := e.handlers[rpc]
 	closed := e.closed
-	dispatch := e.dispatch
 	fault := e.serveFault
 	e.mu.RUnlock()
 	if closed {
@@ -536,9 +513,10 @@ func (e *Endpoint) serve(ctx context.Context, from Address, rpc string, payload 
 	}
 	e.stats.callsServed.Add(1)
 
-	// The server span opens before dispatch, so it measures queue wait
-	// plus execution — the difference against the handler's own internal
-	// span (opened after the pool picks the work up) is pure queue wait.
+	// The server span opens before the handler, so it measures pool queue
+	// wait plus execution — the difference against the handler's own
+	// internal span (opened after the pool picks the work up) is pure queue
+	// wait.
 	srv := e.tracer.Start(rpc, obs.KindServer, sc, string(from))
 	srv.SetTenant(ti.Tenant)
 	active := srv.Context()
@@ -551,28 +529,12 @@ func (e *Endpoint) serve(ctx context.Context, from Address, rpc string, payload 
 		// the handler makes (replication, resync) stay attributed.
 		hctx = qos.ContextWithIdentity(hctx, ti)
 	}
-
-	type result struct {
-		resp []byte
-		err  error
+	resp, err := h(hctx, &Request{RPC: rpc, Payload: payload, From: from, Identity: ti, ep: e})
+	srv.End(err)
+	if err != nil {
+		e.countErrClass(err)
 	}
-	done := make(chan result, 1)
-	dispatch(func() {
-		resp, err := h(hctx, &Request{RPC: rpc, Payload: payload, From: from, Identity: ti, ep: e})
-		done <- result{resp, err}
-	})
-	select {
-	case r := <-done:
-		srv.End(r.err)
-		if r.err != nil {
-			e.countErrClass(r.err)
-		}
-		return r.resp, e.pressure(), r.err
-	case <-ctx.Done():
-		srv.End(ctx.Err())
-		e.countErrClass(ctx.Err())
-		return nil, e.pressure(), ctx.Err()
-	}
+	return resp, e.pressure(), err
 }
 
 // transport is the wire-level half of an endpoint. sc and ti travel in

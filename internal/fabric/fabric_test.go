@@ -373,22 +373,6 @@ func TestPayloadIsolationInproc(t *testing.T) {
 	resp[0] = 9 // response is also a private copy
 }
 
-func TestDispatcherOverride(t *testing.T) {
-	client, server := newPair(t, "inproc")
-	var dispatched atomic.Int32
-	server.SetDispatcher(func(run func()) {
-		dispatched.Add(1)
-		go run()
-	})
-	server.Register("noop", func(context.Context, *Request) ([]byte, error) { return nil, nil })
-	if _, err := client.Call(context.Background(), server.Addr(), "noop", nil); err != nil {
-		t.Fatal(err)
-	}
-	if dispatched.Load() != 1 {
-		t.Fatalf("dispatcher used %d times", dispatched.Load())
-	}
-}
-
 func TestSchemeParsing(t *testing.T) {
 	if Address("tcp://x:1").Scheme() != "tcp" || Address("bogus").Scheme() != "" {
 		t.Fatal("scheme parsing broken")

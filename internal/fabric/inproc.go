@@ -46,15 +46,34 @@ func (t *inprocTransport) call(ctx context.Context, target Address, rpc string, 
 		return nil, 0, nil, fmt.Errorf("%w: %s", ErrUnreachable, target)
 	}
 	// Copy the payload so caller and handler never alias memory, the same
-	// isolation a real wire provides. This copy is load-bearing: serve can
-	// return early on ctx cancellation while the dispatched handler is
-	// still reading the payload, so the caller must stay free to recycle
-	// its own buffer the moment call returns.
+	// isolation a real wire provides. This copy is load-bearing: call can
+	// return early on ctx cancellation while the handler is still reading
+	// the payload, so the caller must stay free to recycle its own buffer
+	// the moment call returns.
 	var in []byte
 	if payload != nil {
 		in = append([]byte(nil), payload...)
 	}
-	resp, pressure, err := dst.serve(ctx, t.addr, rpc, in, sc, ti)
+	// serve runs the handler inline and inproc has no connection goroutine
+	// of its own, so serve runs on a goroutine here and the caller races it
+	// against ctx: a cancelled caller leaves while the handler still runs.
+	type result struct {
+		resp     []byte
+		pressure uint8
+		err      error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, pressure, err := dst.serve(ctx, t.addr, rpc, in, sc, ti)
+		done <- result{resp, pressure, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-ctx.Done():
+		return nil, dst.pressure(), nil, ctx.Err()
+	}
+	resp, pressure, err := r.resp, r.pressure, r.err
 	if err != nil {
 		// Injected server-side faults are message losses: they cross as
 		// transport failures, since the handler never executed.

@@ -125,11 +125,10 @@ func (t *tcpTransport) connLoop(c *tcpConn) {
 		switch body[0] {
 		case frameRequestQoS:
 			// The payload is a borrowed view into the pooled frame buffer —
-			// no clone. The goroutine owns the frame: serve (and therefore
-			// the handler) completes before the reply is written, after
-			// which the frame is recycled. serve is given a background
-			// context precisely so it cannot return while the handler is
-			// still reading the borrowed payload.
+			// no clone. The goroutine owns the frame: serve runs the
+			// handler on it and returns only once the handler has, so the
+			// reply is written and the frame recycled after the last read
+			// of the borrowed payload.
 			reqID, rpc, from, sc, ti, payload, err := parseRequest(body)
 			if err != nil {
 				buf.Release()

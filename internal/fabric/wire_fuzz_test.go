@@ -127,3 +127,34 @@ func TestParseRequestPayloadLooksLikeHeader(t *testing.T) {
 		t.Fatal("payload view does not match the embedded bytes")
 	}
 }
+
+// FuzzDecodeBulkHandle: servers decode client-supplied bulk handles (the
+// bulk-pull service, yokan's bulk put_multi and get_multi). The decoder
+// must never panic and must refuse exactly the inputs shorter than a
+// handle; on success, re-encoding the handle reproduces the 16 bytes it
+// read and rest is the untouched remainder of src.
+func FuzzDecodeBulkHandle(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add(bytes.Repeat([]byte{0xff}, 15))
+	f.Add(BulkHandle{ID: 7, Size: 4096}.Encode(nil))
+	f.Add(BulkHandle{ID: ^uint64(0), Size: ^uint64(0)}.Encode(nil))
+	f.Add(append(BulkHandle{ID: 1, Size: 2}.Encode(nil), "trailing keys"...))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		h, rest, err := DecodeBulkHandle(src)
+		if err != nil {
+			if len(src) >= 16 {
+				t.Fatalf("refused a %d-byte input: %v", len(src), err)
+			}
+			return
+		}
+		if len(src) < 16 {
+			t.Fatalf("decoded a %d-byte input as %+v", len(src), h)
+		}
+		if enc := h.Encode(nil); !bytes.Equal(enc, src[:16]) {
+			t.Fatalf("Encode(%+v) = %x, decoded from %x", h, enc, src[:16])
+		}
+		if len(rest) != len(src)-16 || (len(rest) > 0 && &rest[0] != &src[16]) {
+			t.Fatalf("rest is not src[16:]: %d bytes of %d", len(rest), len(src))
+		}
+	})
+}

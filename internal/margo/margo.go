@@ -8,6 +8,10 @@
 // which the execution resources used to run an RPC (a pool drained by some
 // execution streams) are decoupled from the resources the RPC acts on (for
 // Yokan, a set of databases).
+//
+// Every provider RPC makes one hand-off: the transport's per-request
+// goroutine pushes the handler into the provider's pool and waits on a
+// one-slot channel until a stream of that pool has run it.
 package margo
 
 import (
@@ -49,11 +53,11 @@ type Instance struct {
 type Config struct {
 	// Address to listen on ("inproc://name" or "tcp://host:port").
 	Address fabric.Address
-	// Argobots describes pools and execution streams. If empty, a default
-	// with one pool and RPCXStreams streams is used.
+	// Argobots names the pools and how many execution streams drain each.
+	// If empty, one pool with RPCXStreams streams is used.
 	Argobots argo.Config
-	// RPCXStreams is the stream count for the default Argobots config
-	// (ignored when Argobots is set). The paper's deployments use 16.
+	// RPCXStreams is the stream count of the default pool (ignored when
+	// Argobots is set). The paper's deployments use 16.
 	RPCXStreams int
 	// NetSim optionally attaches a network cost model to the endpoint.
 	NetSim *fabric.NetSim
@@ -86,11 +90,7 @@ type Config struct {
 func Init(cfg Config) (*Instance, error) {
 	acfg := cfg.Argobots
 	if len(acfg.Pools) == 0 {
-		n := cfg.RPCXStreams
-		if n <= 0 {
-			n = 1
-		}
-		acfg = argo.DefaultConfig(n)
+		acfg = argo.DefaultConfig(cfg.RPCXStreams)
 	}
 	rt, err := argo.NewRuntime(acfg)
 	if err != nil {
@@ -209,18 +209,27 @@ func (m *Instance) RegisterProvider(service string, id ProviderID, pool *argo.Po
 	}
 	p := &Provider{Service: service, ID: id, Pool: pool}
 	gate := m.gate
+	// One method value serves every request; gate.RunNext evaluated per
+	// push would allocate a fresh one each time.
+	var runNext argo.Task
 	if gateExempt(service) {
 		gate = nil
+	} else if gate != nil {
+		runNext = gate.RunNext
+	}
+	type result struct {
+		resp []byte
+		err  error
 	}
 	for name, h := range handlers {
 		h := h
 		p.rpcs = append(p.rpcs, name)
 		wire := rpcName(service, id, name)
 		m.ep.Register(wire, func(ctx context.Context, req *fabric.Request) ([]byte, error) {
-			// Route execution into the provider's pool; the fabric
-			// goroutine blocks on the eventual, which is exactly a
-			// Margo handler blocking on an ABT_eventual.
-			ev := argo.NewEventual[[]byte]()
+			// Route execution into the provider's pool; the transport's
+			// goroutine blocks on the one-slot channel, as a Margo
+			// handler blocks on an ABT_eventual.
+			done := make(chan result, 1)
 			run := func() {
 				// The exec span opens once the pool picks the work up;
 				// the enclosing server span opened before the push, so
@@ -229,7 +238,7 @@ func (m *Instance) RegisterProvider(service string, id ProviderID, pool *argo.Po
 				exec.SetTenant(req.Identity.Tenant)
 				resp, err := h(obs.ContextWithSpan(ctx, exec.Context()), req)
 				exec.End(err)
-				ev.Set(resp, err)
+				done <- result{resp, err}
 			}
 			if gate != nil {
 				// The gate owns admission and ordering; the pool owns
@@ -241,13 +250,14 @@ func (m *Instance) RegisterProvider(service string, id ProviderID, pool *argo.Po
 				if err := gate.Submit(req.Identity, len(req.Payload), run); err != nil {
 					return nil, err
 				}
-				if err := pool.Push(gate.RunNext); err != nil {
+				if err := pool.Push(runNext); err != nil {
 					return nil, err
 				}
 			} else if err := pool.Push(run); err != nil {
 				return nil, err
 			}
-			return ev.Wait()
+			r := <-done
+			return r.resp, r.err
 		})
 	}
 	m.providers[key] = p

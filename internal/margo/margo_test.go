@@ -77,13 +77,7 @@ func TestProviderIDsAreIsolated(t *testing.T) {
 }
 
 func TestHandlersRunInAssignedPool(t *testing.T) {
-	cfg := argo.Config{
-		Pools: []argo.PoolConfig{{Name: "p0"}, {Name: "p1"}},
-		XStreams: []argo.XStreamConfig{
-			{Name: "x0", Pools: []string{"p0"}},
-			{Name: "x1", Pools: []string{"p1"}},
-		},
-	}
+	cfg := argo.Config{Pools: []argo.PoolConfig{{Name: "p0", XStreams: 1}, {Name: "p1", XStreams: 1}}}
 	server := newInstance(t, Config{Argobots: cfg})
 	client := newInstance(t, Config{})
 
@@ -99,10 +93,10 @@ func TestHandlersRunInAssignedPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := pool1.Stats().Popped; got != n {
+	if got := pool1.Started(); got != n {
 		t.Fatalf("pool p1 ran %d tasks, want %d", got, n)
 	}
-	if got := server.Runtime().Pool("p0").Stats().Popped; got != 0 {
+	if got := server.Runtime().Pool("p0").Started(); got != 0 {
 		t.Fatalf("pool p0 ran %d tasks, want 0", got)
 	}
 }

@@ -45,7 +45,6 @@ func (h eventHeap) Less(i, j int) bool {
 func (h eventHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)     { *h = append(*h, x.(simEvent)) }
 func (h *eventHeap) Pop() (out any) { old := *h; n := len(old); out = old[n-1]; *h = old[:n-1]; return }
-func (h eventHeap) Peek() simEvent  { return h[0] }
 func (e *Engine) Now() float64      { return e.now }
 func (e *Engine) Pending() int      { return len(e.pq) }
 func (e *Engine) String() string    { return fmt.Sprintf("sim@%.3fs (%d pending)", e.now, len(e.pq)) }
