@@ -97,8 +97,8 @@ func fastPolicy() *resilience.Policy {
 func TestRebalanceE2E(t *testing.T) {
 	seed := chaos.SeedFromEnv(20260808)
 	rng := rand.New(rand.NewSource(seed))
-	doomed := 4 + rng.Intn(4)  // destination killed mid-copy (a new server)
-	partIdx := rng.Intn(4)     // old server partitioned at the handoff
+	doomed := 4 + rng.Intn(4) // destination killed mid-copy (a new server)
+	partIdx := rng.Intn(4)    // old server partitioned at the handoff
 	t.Cleanup(func() {
 		if t.Failed() {
 			t.Logf("rebalance e2e failed with seed %d (doomed destination %d, partitioned server %d); replay with %s=%d go test -run '%s'",

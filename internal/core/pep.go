@@ -42,8 +42,12 @@ func SelectorFor(label string, example any) ProductSelector {
 // batches of 16384 (few RPCs, large payloads), then shared among processes
 // in batches of 64 (fine-grain load balancing).
 type PEPOptions struct {
-	// LoadBatchSize is the number of events fetched from a database per
-	// RPC by a reader.
+	// LoadBatchSize is the number of event keys a reader lists from a
+	// database per RPC. Each such page is also the prefetch unit: its
+	// selected products are fetched in one fan-out (one GetMulti per
+	// product database) and then cut into work batches. A reader therefore
+	// holds the products of the page being fetched plus those of the pages
+	// its queued work batches (at most 64) still borrow from.
 	LoadBatchSize int
 	// WorkBatchSize is the number of events handed to a worker at a time.
 	WorkBatchSize int
@@ -280,23 +284,27 @@ func (ds *DataStore) pepLoad(ctx context.Context, rank int, dataset *DataSet, op
 			if foEvents > 0 {
 				ds.failoverReads.Add(int64(foEvents))
 			}
+			// The page is the prefetch unit: one fan-out of few, large
+			// GetMulti groups, then cut into work batches. Each batch takes
+			// its events' run of the page's (event, selector)-ordered
+			// entries, re-based to the batch's own event indices.
+			pref, degraded, failover := pf.Fetch(ctx, evKeys)
+			at := 0
 			for off := 0; off < len(evKeys); off += opts.WorkBatchSize {
-				hi := off + opts.WorkBatchSize
-				if hi > len(evKeys) {
-					hi = len(evKeys)
-				}
+				hi := min(off+opts.WorkBatchSize, len(evKeys))
 				msg := pepWorkMsg{Keys: evKeys[off:hi]}
 				if off == 0 {
-					// Page-level failover counts ride the first batch;
-					// only the cross-rank totals are meaningful.
-					msg.Failover = uint32(foEvents)
-				}
-				if len(opts.Prefetch) > 0 {
-					pref, degraded, failover := pf.Fetch(ctx, msg.Keys)
-					msg.Pref = pref
+					// Page-level degraded and failover counts ride the
+					// first batch; only the cross-rank totals are meaningful.
 					msg.Degraded = uint32(degraded)
-					msg.Failover += uint32(failover)
+					msg.Failover = uint32(foEvents + failover)
 				}
+				end := at
+				for end < len(pref) && int(pref[end].EventIdx) < hi {
+					pref[end].EventIdx -= uint32(off)
+					end++
+				}
+				msg.Pref, at = pref[at:end:end], end
 				batches <- msg
 			}
 		}

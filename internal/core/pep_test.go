@@ -13,6 +13,7 @@ import (
 	"github.com/hep-on-hpc/hepnos-go/internal/chaos"
 	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
 	"github.com/hep-on-hpc/hepnos-go/internal/mpi"
+	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 )
 
 // buildEventSample fills a dataset with events spread over runs/subruns and
@@ -204,6 +205,93 @@ func TestProcessEventsPrefetch(t *testing.T) {
 	})
 	if loaded != 200 {
 		t.Fatalf("loaded %d products, want 200", loaded)
+	}
+}
+
+// TestProcessEventsPrefetchesOncePerPage pins the PEP's two batch sizes: a
+// reader prefetches once per key page (LoadBatchSize events) and cuts the
+// page into work batches. The page size is not a multiple of the work batch
+// size, so pages end mid-batch and every later batch's prefetch entries are
+// re-based. Each event must still load its own product from the prefetch,
+// and the pass must send at most one get_multi per product database per page.
+func TestProcessEventsPrefetchesOncePerPage(t *testing.T) {
+	ds, dep, _ := newTestCluster(t, bedrock.DeploySpec{Servers: 2})
+	want := buildEventSample(t, ds, "perpage", 2, 8, 150) // 2 400 events
+	d, _ := ds.OpenDataSet(context.Background(), "perpage")
+
+	// served sums the servers' per-op counts on the databases of one role.
+	served := func(role, op string) float64 {
+		var n float64
+		for _, srv := range dep.Servers {
+			for _, f := range srv.Registry().Snapshot() {
+				if f.Name != obs.MetricYokanOps {
+					continue
+				}
+				for _, s := range f.Samples {
+					if s.Labels["op"] == op && strings.HasPrefix(s.Labels["db"], role+"_") {
+						n += s.Value
+					}
+				}
+			}
+		}
+		return n
+	}
+	pages0, multi0, gets0 := served("events", "list_keys"), served("products", "get_multi"), served("products", "get")
+
+	var mu sync.Mutex
+	seen := make(map[EventID]int)
+	var wrong []string
+	var statsByRank [2]PEPStats
+	mpi.NewWorld(2).Run(func(c *mpi.Comm) {
+		stats, err := ds.ProcessEvents(context.Background(), c, d, PEPOptions{
+			LoadBatchSize: 100,
+			WorkBatchSize: 64,
+			Prefetch:      []ProductSelector{SelectorFor("parts", []particle{})},
+		}, func(ev *Event) error {
+			var ps []particle
+			if err := ev.Load(context.Background(), "parts", &ps); err != nil {
+				return err
+			}
+			id := ev.ID()
+			mu.Lock()
+			defer mu.Unlock()
+			seen[id]++
+			if len(ps) != 1 || ps[0] != (particle{X: float32(id.Run), Y: float32(id.SubRun), Z: float32(id.Event)}) {
+				wrong = append(wrong, fmt.Sprintf("%v loaded %v", id, ps))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
+		statsByRank[c.Rank()] = stats
+	})
+
+	if len(seen) != len(want) {
+		t.Fatalf("saw %d distinct events, want %d", len(seen), len(want))
+	}
+	for id, n := range seen {
+		if n != 1 || !want[id] {
+			t.Fatalf("event %v processed %d times (expected: %v)", id, n, want[id])
+		}
+	}
+	if len(wrong) > 0 {
+		t.Fatalf("%d events loaded another event's product, e.g. %s", len(wrong), wrong[0])
+	}
+	for r, st := range statsByRank {
+		if st.LocalDegraded != 0 {
+			t.Errorf("rank %d: LocalDegraded = %d, want 0", r, st.LocalDegraded)
+		}
+	}
+	if gets := served("products", "get") - gets0; gets != 0 {
+		t.Errorf("%v on-demand product gets reached the servers, want 0", gets)
+	}
+	pages := served("events", "list_keys") - pages0
+	multi := served("products", "get_multi") - multi0
+	t.Logf("%v key pages, %v product get_multi calls", pages, multi)
+	if bound := float64(len(ds.v().ProductDBs)) * pages; multi > bound {
+		t.Errorf("%v product get_multi calls over %v key pages, want at most %v (one per product database per page)",
+			multi, pages, bound)
 	}
 }
 

@@ -60,10 +60,10 @@ func TestColumnSchemaDerivation(t *testing.T) {
 
 	// Ineligible shapes fall back to the row path with ErrUnsupported.
 	for _, bad := range []any{
-		flatRec{},            // not a slice
-		[]int{},              // element not a struct
-		[]everything{},       // nested/non-scalar fields
-		[]versionedBlob{},    // custom serializer
+		flatRec{},                      // not a slice
+		[]int{},                        // element not a struct
+		[]everything{},                 // nested/non-scalar fields
+		[]versionedBlob{},              // custom serializer
 		[]struct{ M map[string]int }{}, // map field
 	} {
 		if _, err := ColumnSchemaOf(bad); !errors.Is(err, ErrUnsupported) {

@@ -14,10 +14,10 @@ func TestPredicateValidate(t *testing.T) {
 		t.Fatalf("Validate(good): %v", err)
 	}
 	bad := []Predicate{
-		{},                          // zero op
-		And(),                       // empty composite
+		{},                                       // zero op
+		And(),                                    // empty composite
 		{Op: OpLT, Sub: []Predicate{GT("N", 1)}}, // leaf with children
-		{Op: 99},                    // unknown op
+		{Op: 99},                                 // unknown op
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -83,8 +83,11 @@ func Run(ctx context.Context, ds *core.DataStore, cfg Config) (Result, error) {
 	mpi.NewWorld(cfg.Ranks).Run(func(c *mpi.Comm) {
 		var local []nova.SliceRef
 		localSlices := 0
+		// One decode target per rank: SelectEvent copies what it accepts
+		// into SliceRefs, so nothing holds the previous event's slices.
+		var slices []nova.Slice
 		stats, err := ds.ProcessEvents(ctx, c, dataset, opts, func(ev *core.Event) error {
-			var slices []nova.Slice
+			slices = slices[:0]
 			if err := ev.Load(ctx, cfg.Label, &slices); err != nil {
 				return err
 			}

@@ -238,9 +238,9 @@ func TestPageCodecRoundTrip(t *testing.T) {
 	// Corrupt metas are rejected.
 	for _, bad := range [][]byte{
 		nil,
-		{1},          // field-page tag
-		{0, 0x80},    // truncated varint
-		enc[:len(enc)-1], // truncated tail
+		{1},                                    // field-page tag
+		{0, 0x80},                              // truncated varint
+		enc[:len(enc)-1],                       // truncated tail
 		append(append([]byte(nil), enc...), 0), // trailing byte
 	} {
 		var m PageMeta
